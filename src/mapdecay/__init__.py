@@ -12,7 +12,6 @@ from .errors import (
     LogError,
     MapDecayError,
     MapFormatError,
-    MetricError,
     ParameterError,
     ScenarioError,
 )
@@ -36,7 +35,6 @@ from .world import (
     Pose,
     Rect,
     SensorConfig,
-    Sweep,
     World,
     ego_pose_at,
     interpolate_pose,
@@ -45,16 +43,13 @@ from .world import (
 from .instant import (
     L_FREE_SET,
     L_OCC,
-    InstantMap,
     ObstacleThresholds,
     apply_instant,
     build_instant_map,
-    classify_scan,
     raycast_cells,
 )
 from .fusion import (
     CleanParams,
-    OnlineMap,
     build_offline,
     clean_offline,
     offline_window,
@@ -65,8 +60,6 @@ from .fusion import (
 from .scenario import (
     RunMetrics,
     ScenarioConfig,
-    TraceRegion,
-    compute_metrics,
     compute_trace_region,
     config_from_dict,
     load_config,
@@ -80,19 +73,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentError", "BoundsError", "ConfigError", "DomainError", "LogError",
-    "MapDecayError", "MapFormatError", "MetricError", "ParameterError",
-    "ScenarioError",
+    "MapDecayError", "MapFormatError", "ParameterError", "ScenarioError",
     "L_MAX", "L_MIN", "DecayParams", "GridMap", "apply_decay", "decay_cell",
     "decay_cell_pow", "logodds_from_prob", "prob_from_logodds", "read_map",
     "update_cell", "write_map",
-    "Box", "DynamicObject", "Pose", "Rect", "SensorConfig", "Sweep", "World",
+    "Box", "DynamicObject", "Pose", "Rect", "SensorConfig", "World",
     "ego_pose_at", "interpolate_pose", "simulate_sweep",
-    "L_FREE_SET", "L_OCC", "InstantMap", "ObstacleThresholds", "apply_instant",
-    "build_instant_map", "classify_scan", "raycast_cells",
-    "CleanParams", "OnlineMap", "build_offline", "clean_offline",
+    "L_FREE_SET", "L_OCC", "ObstacleThresholds", "apply_instant",
+    "build_instant_map", "raycast_cells",
+    "CleanParams", "build_offline", "clean_offline",
     "offline_window", "online_init", "online_step", "recenter",
-    "RunMetrics", "ScenarioConfig", "TraceRegion", "compute_metrics",
-    "compute_trace_region", "config_from_dict", "load_config", "occupancy_iou",
-    "persistence_from_stream", "render_frame", "run_scenario",
+    "RunMetrics", "ScenarioConfig", "compute_trace_region", "config_from_dict",
+    "load_config", "occupancy_iou", "persistence_from_stream", "render_frame",
+    "run_scenario",
     "__version__",
 ]

@@ -47,7 +47,3 @@ class ConfigError(MapDecayError, ValueError):
 
 class LogError(MapDecayError, ValueError):
     """A sweep/pose log is internally inconsistent."""
-
-
-class MetricError(MapDecayError, ValueError):
-    """Metrics were requested over an empty or unusable region."""

@@ -10,12 +10,12 @@ window toward the offline values before folding in the new sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import AlignmentError, LogError, ParameterError, ScenarioError
+from .errors import LogError, ParameterError, ScenarioError
 from .grid import DecayParams, GridMap, apply_decay, logodds_from_prob
 from .instant import (
     L_FREE_SET,
@@ -91,36 +91,28 @@ def _snapped_origin(offline: GridMap, ego: Pose, window_cells: int) -> tuple[flo
     return offline.origin_x + col0 * res, offline.origin_y + row0 * res
 
 
-def _fill_from_offline(values: np.ndarray, observed: np.ndarray,
-                       offline: GridMap, origin_x: float, origin_y: float) -> None:
-    """Load window arrays from the offline map; cells outside it stay unknown.
+def _paste(dst: GridMap, src: GridMap) -> None:
+    """Copy values and flags of the cells ``dst`` shares with ``src``.
 
-    ``observed`` receives the offline flags; callers that track their own
-    observation state reset it afterwards.
+    Both grids lie on the same lattice; cells of ``dst`` outside ``src`` keep
+    what they hold.
     """
-    res = offline.resolution
-    h, w = values.shape
-    col0 = round((origin_x - offline.origin_x) / res)
-    row0 = round((origin_y - offline.origin_y) / res)
-    src_c0, src_r0 = max(col0, 0), max(row0, 0)
-    src_c1 = min(col0 + w, offline.width)
-    src_r1 = min(row0 + h, offline.height)
-    if src_c0 >= src_c1 or src_r0 >= src_r1:
-        return
-    dst_c0, dst_r0 = src_c0 - col0, src_r0 - row0
-    values[dst_r0:dst_r0 + (src_r1 - src_r0), dst_c0:dst_c0 + (src_c1 - src_c0)] = \
-        offline.values[src_r0:src_r1, src_c0:src_c1]
-    observed[dst_r0:dst_r0 + (src_r1 - src_r0), dst_c0:dst_c0 + (src_c1 - src_c0)] = \
-        offline.observed[src_r0:src_r1, src_c0:src_c1]
+    res = src.resolution
+    dc = round((dst.origin_x - src.origin_x) / res)
+    dr = round((dst.origin_y - src.origin_y) / res)
+    c0, c1 = max(dc, 0), min(dc + dst.width, src.width)
+    r0, r1 = max(dr, 0), min(dr + dst.height, src.height)
+    if c0 < c1 and r0 < r1:
+        dst.values[r0 - dr:r1 - dr, c0 - dc:c1 - dc] = src.values[r0:r1, c0:c1]
+        dst.observed[r0 - dr:r1 - dr, c0 - dc:c1 - dc] = src.observed[r0:r1, c0:c1]
 
 
 def offline_window(offline: GridMap, origin_x: float, origin_y: float,
                    width: int, height: int) -> GridMap:
     """Offline values over an aligned window; out-of-extent cells are 0.0."""
-    values = np.zeros((height, width), dtype=np.float64)
-    observed = np.zeros((height, width), dtype=bool)
-    _fill_from_offline(values, observed, offline, origin_x, origin_y)
-    return GridMap(offline.resolution, origin_x, origin_y, values, observed)
+    window = GridMap(offline.resolution, origin_x, origin_y, np.zeros((height, width)))
+    _paste(window, offline)
+    return window
 
 
 def online_init(offline: GridMap, ego: Pose, window_size: float = 150.0) -> OnlineMap:
@@ -141,24 +133,12 @@ def recenter(online: OnlineMap, offline: GridMap, ego: Pose) -> None:
     new_ox, new_oy = _snapped_origin(offline, ego, online.window_cells)
     if abs(new_ox - grid.origin_x) < 1e-12 and abs(new_oy - grid.origin_y) < 1e-12:
         return
-    res = grid.resolution
-    dc = round((new_ox - grid.origin_x) / res)
-    dr = round((new_oy - grid.origin_y) / res)
     n = online.window_cells
-    values = np.zeros((n, n), dtype=np.float64)
-    observed = np.zeros((n, n), dtype=bool)
-    _fill_from_offline(values, observed, offline, new_ox, new_oy)
-    observed[:] = False  # entering cells have not been seen by this run
-    # overlap region, expressed in both old and new index frames
-    src_c0, src_c1 = max(dc, 0), min(dc + n, n)
-    src_r0, src_r1 = max(dr, 0), min(dr + n, n)
-    if src_c0 < src_c1 and src_r0 < src_r1:
-        values[src_r0 - dr:src_r1 - dr, src_c0 - dc:src_c1 - dc] = \
-            grid.values[src_r0:src_r1, src_c0:src_c1]
-        observed[src_r0 - dr:src_r1 - dr, src_c0 - dc:src_c1 - dc] = \
-            grid.observed[src_r0:src_r1, src_c0:src_c1]
-    grid.values = values
-    grid.observed = observed
+    moved = GridMap(grid.resolution, new_ox, new_oy, np.zeros((n, n)))
+    _paste(moved, offline)
+    moved.observed[:] = False  # entering cells have not been seen by this run
+    _paste(moved, grid)
+    grid.values, grid.observed = moved.values, moved.observed
     grid.origin_x, grid.origin_y = new_ox, new_oy
 
 

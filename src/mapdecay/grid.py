@@ -8,9 +8,10 @@ that pulls an online cell toward its offline counterpart:
     decayed = (on * w_on + off * w_off) / (w_on + w_off)
 
 The average operates on the stored log-odds values, not on probabilities.
-That choice makes each decay step an exact contraction with retention factor
-``a = w_on / (w_on + w_off)``, so ``k`` steps have the closed form
-``off + (on - off) * a**k`` (see :func:`decay_cell_pow`).
+Each step shrinks the deviation from ``off`` by ``a = w_on / (w_on + w_off)``.
+The closed form ``off + (on - off) * a**k`` (:func:`decay_cell_pow`) is the
+test oracle for ``k`` steps; it matches them only to rounding, so maps are
+always decayed one step at a time.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ class DecayParams:
     enabled: bool = True
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.w_on) and math.isfinite(self.w_off)):
+            raise ParameterError("decay weights must be finite")
         if self.w_on < 0.0 or self.w_off < 0.0:
             raise ParameterError("decay weights must be nonnegative")
         if self.w_on + self.w_off <= 0.0:
@@ -82,11 +85,12 @@ class DecayParams:
         return self.w_on / (self.w_on + self.w_off)
 
 
-def decay_cell(on: float, off: float, params: DecayParams) -> float:
+def decay_cell(on, off, params: DecayParams):
     """One decay step: weighted average of the online and offline values.
 
-    The result always lies between ``on`` and ``off`` (inclusive) and the
-    observed flag of the cell is not touched by this function.
+    Works on floats and elementwise on arrays alike.  The result always lies
+    between ``on`` and ``off`` (inclusive) and the observed flag of the cell
+    is not touched by this function.
     """
     return (on * params.w_on + off * params.w_off) / (params.w_on + params.w_off)
 
@@ -94,8 +98,9 @@ def decay_cell(on: float, off: float, params: DecayParams) -> float:
 def decay_cell_pow(on: float, off: float, params: DecayParams, k: int) -> float:
     """Closed form of ``k`` iterated :func:`decay_cell` steps.
 
-    Lets an implementation decay lazily (per-cell tick counters) while staying
-    numerically equivalent to applying the rule every cycle.
+    The specification of the decay's contraction and half-life.  It matches
+    the iterated rule only to rounding, so it is a test oracle, not a
+    substitute for decaying the map every tick.
     """
     if k < 0:
         raise ParameterError(f"step count must be nonnegative, got {k}")
@@ -158,19 +163,21 @@ class GridMap:
         return (self.origin_x + (col + 0.5) * self.resolution,
                 self.origin_y + (row + 0.5) * self.resolution)
 
-    def in_bounds(self, col: int, row: int) -> bool:
-        return 0 <= col < self.width and 0 <= row < self.height
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.values.shape
 
     def contains_point(self, x: float, y: float) -> bool:
         col, row = self.cell_of(x, y)
-        return self.in_bounds(col, row)
+        return 0 <= col < self.width and 0 <= row < self.height
 
     def copy(self) -> "GridMap":
         return GridMap(self.resolution, self.origin_x, self.origin_y,
                        self.values.copy(), self.observed.copy())
 
-    def same_extent(self, other: "GridMap", tol: float = 1e-9) -> bool:
-        return (self.values.shape == other.values.shape
+    def same_extent(self, other, tol: float = 1e-9) -> bool:
+        """Whether ``other`` (a grid or an instant map) covers the same cells."""
+        return (self.shape == other.shape
                 and abs(self.resolution - other.resolution) <= tol
                 and abs(self.origin_x - other.origin_x) <= tol
                 and abs(self.origin_y - other.origin_y) <= tol)
@@ -187,8 +194,7 @@ def apply_decay(grid: GridMap, offline: GridMap, params: DecayParams) -> None:
         raise AlignmentError("online and offline grids must share extent and resolution")
     if not params.enabled:
         return
-    w_on, w_off = params.w_on, params.w_off
-    grid.values[:] = (grid.values * w_on + offline.values * w_off) / (w_on + w_off)
+    grid.values[:] = decay_cell(grid.values, offline.values, params)
 
 
 def write_map(grid: GridMap, path) -> None:

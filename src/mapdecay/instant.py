@@ -10,13 +10,12 @@ Occupied marking wins over free on conflicts within one sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import AlignmentError, BoundsError
+from .errors import AlignmentError, BoundsError, ParameterError
 from .grid import GridMap, L_MAX, L_MIN, logodds_from_prob
-from .world import Sweep, VerticalScan
+from .world import Sweep
 
 #: Evidence added to a cell per obstacle return.
 L_OCC = logodds_from_prob(0.9)
@@ -34,21 +33,36 @@ class ObstacleThresholds:
     min_height: float = 0.30
     max_height: float = 4.0
 
-
-@dataclass
-class ObstacleClassification:
-    is_obstacle: np.ndarray
-    first_obstacle_index: Optional[int]
+    def __post_init__(self) -> None:
+        if not self.min_height < self.max_height:
+            raise ParameterError("obstacle min_height must be below max_height")
 
 
-def classify_scan(scan: VerticalScan, ground_z: float,
-                  thresholds: ObstacleThresholds = ObstacleThresholds()) -> ObstacleClassification:
-    """Flag beams whose hit height above the ground falls in the obstacle
-    window.  No-return beams are never flagged."""
-    heights = scan.hit_points[:, 2] - ground_z
-    flags = scan.returned & (heights > thresholds.min_height) & (heights < thresholds.max_height)
-    first = int(np.argmax(flags)) if flags.any() else None
-    return ObstacleClassification(flags, first)
+def obstacle_mask(hit_z: np.ndarray, returned: np.ndarray, ground_z: float,
+                  thresholds: ObstacleThresholds) -> np.ndarray:
+    """Flag beams whose hit height above the ground falls strictly inside the
+    obstacle window.  No-return beams are never flagged."""
+    heights = hit_z - ground_z
+    return returned & (heights > thresholds.min_height) & (heights < thresholds.max_height)
+
+
+def _nudged_cells(px: np.ndarray, py: np.ndarray, sx: float, sy: float,
+                  step: float, origin_x: float, origin_y: float,
+                  resolution: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of points moved ``step`` meters along their ray from the sensor.
+
+    A hit exactly on a surface that coincides with a cell boundary would alias
+    between the two adjacent cells; a small negative step picks the near
+    side, a positive one the cell inside the surface.  NaN points map to
+    cell (0, 0).
+    """
+    dx, dy = px - sx, py - sy
+    norm = np.hypot(dx, dy)
+    norm[~np.isfinite(norm) | (norm == 0.0)] = 1.0
+    cols = np.floor((px + step * dx / norm - origin_x) / resolution)
+    rows = np.floor((py + step * dy / norm - origin_y) / resolution)
+    return (np.nan_to_num(cols, nan=0.0).astype(np.int64),
+            np.nan_to_num(rows, nan=0.0).astype(np.int64))
 
 
 def _raycast_arrays(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -104,19 +118,8 @@ class InstantMap:
     l_free: float = L_FREE_SET
 
     @property
-    def width(self) -> int:
-        return self.kind.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.kind.shape[0]
-
-    @property
-    def values(self) -> np.ndarray:
-        out = np.zeros(self.kind.shape, dtype=np.float64)
-        out[self.kind == KIND_FREE_SET] = self.l_free
-        out[self.kind == KIND_OCCUPIED] = self.l_occ
-        return out
+    def shape(self) -> tuple[int, int]:
+        return self.kind.shape
 
 
 def build_instant_map(sweep: Sweep, origin_x: float, origin_y: float,
@@ -137,13 +140,8 @@ def build_instant_map(sweep: Sweep, origin_x: float, origin_y: float,
 
     kind = np.zeros((height, width), dtype=np.uint8)
 
-    heights_above = sweep.hit_points[:, :, 2] - ground_z
     returned = np.isfinite(sweep.ranges)
-    obstacle = returned & (heights_above > thresholds.min_height) \
-        & (heights_above < thresholds.max_height)
-
-    hit_cols = np.floor((sweep.hit_points[:, :, 0] - origin_x) / resolution)
-    hit_rows = np.floor((sweep.hit_points[:, :, 1] - origin_y) / resolution)
+    obstacle = obstacle_mask(sweep.hit_points[:, :, 2], returned, ground_z, thresholds)
 
     # free intervals, one per vertical scan with a usable first-beam anchor
     n_az, n_beams = sweep.ranges.shape
@@ -160,21 +158,13 @@ def build_instant_map(sweep: Sweep, origin_x: float, origin_y: float,
     # an obstacle nearer than the first beam's hit yields an empty interval
     usable &= np.isfinite(end_d) & (end_d >= start_d)
 
-    starts = np.stack([hit_cols[az, 0], hit_rows[az, 0]], axis=1)
+    starts = np.floor((sweep.hit_points[:, 0, :2] - (origin_x, origin_y)) / resolution)
     starts = np.nan_to_num(starts, nan=0.0).astype(np.int64)
-    # pull the span endpoint back a hair along the ray: a hit exactly on a
-    # surface that coincides with a cell boundary must index the cell on the
-    # near side, or grid-line rounding frees cells inside the surface
-    ex = sweep.hit_points[az, end_beam, 0]
-    ey = sweep.hit_points[az, end_beam, 1]
-    dxy = np.hypot(ex - sx, ey - sy)
-    dxy[~np.isfinite(dxy) | (dxy == 0.0)] = 1.0
-    eps = 1e-6
-    ex = ex - eps * (ex - sx) / dxy
-    ey = ey - eps * (ey - sy) / dxy
-    ends = np.stack([np.floor((ex - origin_x) / resolution),
-                     np.floor((ey - origin_y) / resolution)], axis=1)
-    ends = np.nan_to_num(ends, nan=0.0).astype(np.int64)
+    # the span ends a hair short of its end hit, so grid-line rounding never
+    # frees a cell inside the surface that was hit
+    ends = np.stack(_nudged_cells(sweep.hit_points[az, end_beam, 0],
+                                  sweep.hit_points[az, end_beam, 1], sx, sy, -1e-6,
+                                  origin_x, origin_y, resolution), axis=1)
 
     _, f_cols, f_rows = _raycast_arrays(starts[usable], ends[usable])
     # with no obstacle in the scan, the last ground return itself is free
@@ -184,18 +174,11 @@ def build_instant_map(sweep: Sweep, origin_x: float, origin_y: float,
     in_grid = (f_cols >= 0) & (f_cols < width) & (f_rows >= 0) & (f_rows < height)
     kind[f_rows[in_grid], f_cols[in_grid]] = KIND_FREE_SET
 
-    # occupied marking last: it takes precedence over free on conflicts.
-    # Hits landing exactly on a surface that coincides with a cell boundary
-    # would alias between the two adjacent cells, so nudge the lookup point
-    # a hair further along the ray, into the surface.
-    ox = sweep.hit_points[:, :, 0][obstacle]
-    oy = sweep.hit_points[:, :, 1][obstacle]
-    dx, dy = ox - sx, oy - sy
-    norm = np.hypot(dx, dy)
-    norm[norm == 0.0] = 1.0
-    eps = 1e-6
-    o_cols = np.floor((ox + eps * dx / norm - origin_x) / resolution).astype(np.int64)
-    o_rows = np.floor((oy + eps * dy / norm - origin_y) / resolution).astype(np.int64)
+    # occupied marking last: it takes precedence over free on conflicts;
+    # each obstacle hit is looked up a hair further along its ray
+    o_cols, o_rows = _nudged_cells(sweep.hit_points[:, :, 0][obstacle],
+                                   sweep.hit_points[:, :, 1][obstacle], sx, sy, 1e-6,
+                                   origin_x, origin_y, resolution)
     in_grid = (o_cols >= 0) & (o_cols < width) & (o_rows >= 0) & (o_rows < height)
     kind[o_rows[in_grid], o_cols[in_grid]] = KIND_OCCUPIED
 
@@ -209,10 +192,7 @@ def apply_instant(target: GridMap, inst: InstantMap,
     Occupied evidence is summed (clamped); free cells are overwritten to the
     free value.  Both mark the cell observed.  Untouched cells are unchanged.
     """
-    if (target.values.shape != inst.kind.shape
-            or abs(target.resolution - inst.resolution) > 1e-9
-            or abs(target.origin_x - inst.origin_x) > 1e-9
-            or abs(target.origin_y - inst.origin_y) > 1e-9):
+    if not target.same_extent(inst):
         raise AlignmentError("instant map extent does not match the target grid")
     occ = inst.kind == KIND_OCCUPIED
     free = inst.kind == KIND_FREE_SET

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, MetricError
+from .errors import ConfigError
 from .grid import DecayParams, GridMap, logodds_from_prob, write_map
 from .instant import ObstacleThresholds
 from .fusion import (
@@ -68,39 +68,51 @@ class ScenarioConfig:
     output_dir: Optional[str]
 
 
-def _check_keys(section: dict, path: str, known: set[str]) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path.rstrip('.') or 'config'}: expected an object")
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"{path}{key}: unknown key")
-
-
 _REQUIRED = object()
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
 
 
-def _get(section: dict, path: str, key: str, kind, default=_REQUIRED):
-    if key not in section:
-        if default is _REQUIRED:
-            raise ConfigError(f"{path}{key}: required field is missing")
-        return default
-    value = section[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"{path}{key}: expected {kind.__name__}, got {type(value).__name__}")
+def _expect(value, kind, path: str, accepted=None):
+    """``value`` if it is an instance of ``accepted`` (default ``kind``) and
+    not a bool standing in for another type."""
+    if isinstance(value, bool) and kind is not bool or not isinstance(value, accepted or kind):
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
-def _parse_trajectory(raw, path: str) -> list[Pose]:
+def _read_number(value, path: str, kind=float):
+    """A finite JSON number as ``kind``; an int is accepted for a float."""
+    _expect(value, kind, path, (int, kind))
+    try:
+        if math.isfinite(value):
+            return kind(value)
+    except OverflowError:  # an integer too large for a float
+        pass
+    raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+
+
+def _read_numbers(raw, path: str) -> list[float]:
+    return [_read_number(v, f"{path}[{i}]") for i, v in enumerate(_expect(raw, list, path))]
+
+
+def _read_rect(raw, path: str) -> Rect:
+    if not (isinstance(raw, list) and len(raw) == 4):
+        raise ConfigError(f"{path}: expected [x_min, y_min, x_max, y_max]")
+    rect = Rect(*_read_numbers(raw, path))
+    if rect.x_min >= rect.x_max or rect.y_min >= rect.y_max:
+        raise ConfigError(f"{path}: degenerate rectangle")
+    return rect
+
+
+def _read_trajectory(raw, path: str) -> list[Pose]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{path}: expected a nonempty list of [t, x, y, yaw] knots")
     knots = []
     for i, item in enumerate(raw):
-        if not (isinstance(item, list) and len(item) == 4
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in item)):
+        if not (isinstance(item, list) and len(item) == 4):
             raise ConfigError(f"{path}[{i}]: expected [t, x, y, yaw] numbers")
-        t, x, y, yaw = (float(v) for v in item)
+        t, x, y, yaw = _read_numbers(item, f"{path}[{i}]")
         knots.append(Pose(x, y, yaw, t))
     times = [k.t for k in knots]
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -108,156 +120,120 @@ def _parse_trajectory(raw, path: str) -> list[Pose]:
     return knots
 
 
-def _parse_world(raw: dict, path: str) -> World:
-    _check_keys(raw, path, {"ground_z", "bounds", "static_boxes", "dynamic_objects"})
-    ground_z = _get(raw, path, "ground_z", float, 0.0)
-    bounds_raw = _get(raw, path, "bounds", list)
-    if len(bounds_raw) != 4:
-        raise ConfigError(f"{path}bounds: expected [x_min, y_min, x_max, y_max]")
-    bounds = Rect(*(float(v) for v in bounds_raw))
-    if bounds.x_min >= bounds.x_max or bounds.y_min >= bounds.y_max:
-        raise ConfigError(f"{path}bounds: degenerate rectangle")
+def _read_section(raw, path: str, fields: dict, build):
+    """Read a config object against its field table and call ``build`` with
+    the fields as keywords; every error is a ConfigError naming the field.
 
-    boxes = []
-    for i, braw in enumerate(_get(raw, path, "static_boxes", list, [])):
-        bpath = f"{path}static_boxes[{i}]."
-        _check_keys(braw, bpath, {"x_min", "x_max", "y_min", "y_max", "z_top"})
-        boxes.append(Box(*[_get(braw, bpath, k, float)
-                           for k in ("x_min", "x_max", "y_min", "y_max", "z_top")]))
-
-    objects = []
-    names = set()
-    for i, oraw in enumerate(_get(raw, path, "dynamic_objects", list, [])):
-        opath = f"{path}dynamic_objects[{i}]."
-        _check_keys(oraw, opath, {"name", "length", "width", "height", "trajectory"})
-        name = _get(oraw, opath, "name", str)
-        if name in names:
-            raise ConfigError(f"{opath}name: duplicate object name {name!r}")
-        names.add(name)
-        objects.append(DynamicObject(
-            name,
-            _get(oraw, opath, "length", float),
-            _get(oraw, opath, "width", float),
-            _get(oraw, opath, "height", float),
-            _parse_trajectory(oraw.get("trajectory"), f"{opath}trajectory"),
-        ))
+    The table maps each key to ``(type, default[, check])``.  ``type`` is a
+    JSON type or a reader ``(value, path) -> value``, which also reads the
+    default unless that is ``None``.  ``_REQUIRED`` marks a field that must
+    be present; ``check`` is a ``(predicate, message)`` pair.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path.rstrip('.') or 'config'}: expected an object")
+    for key in raw:
+        if key not in fields:
+            raise ConfigError(f"{path}{key}: unknown key")
+    values = {}
+    for key, (kind, default, *check) in fields.items():
+        where = f"{path}{key}"
+        if key not in raw and default is _REQUIRED:
+            raise ConfigError(f"{where}: required field is missing")
+        value = raw.get(key, default)
+        if key in raw or default is not None:
+            if kind is int or kind is float:
+                value = _read_number(value, where, kind)
+            elif isinstance(kind, type):
+                _expect(value, kind, where)
+            else:
+                value = kind(value, where)
+            for ok, message in check:
+                if not ok(value):
+                    raise ConfigError(f"{where}: {message}")
+        values[key] = value
     try:
-        return World(ground_z, bounds, boxes, objects)
-    except ConfigError:
-        raise
+        return build(**values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_sensor(raw: dict, path: str) -> SensorConfig:
-    _check_keys(raw, path, {"beam_count", "vertical_min_deg", "vertical_max_deg",
-                            "vertical_angles_deg", "azimuth_steps", "max_range",
-                            "mount_height", "sweep_rate", "noise_sigma"})
-    beam_count = _get(raw, path, "beam_count", int, 32)
-    if "vertical_angles_deg" in raw:
-        angles = np.radians(np.asarray(_get(raw, path, "vertical_angles_deg", list),
-                                       dtype=np.float64))
+def _section(fields: dict, build):
+    """Reader for a nested config object."""
+    return lambda raw, path: _read_section(raw, f"{path}.", fields, build)
+
+
+def _items(fields: dict, build):
+    """Reader for a list of config objects."""
+    return lambda raw, path: [_read_section(item, f"{path}[{i}].", fields, build)
+                              for i, item in enumerate(_expect(raw, list, path))]
+
+
+def _sensor(beam_count, vertical_min_deg, vertical_max_deg, vertical_angles_deg,
+            azimuth_steps, **rest) -> SensorConfig:
+    if vertical_angles_deg is None:
+        degrees = np.linspace(vertical_min_deg, vertical_max_deg, beam_count)
     else:
-        lo = _get(raw, path, "vertical_min_deg", float, -30.0)
-        hi = _get(raw, path, "vertical_max_deg", float, 10.0)
-        angles = np.radians(np.linspace(lo, hi, beam_count))
-    steps = _get(raw, path, "azimuth_steps", int, 720)
-    if steps < 1:
-        raise ConfigError(f"{path}azimuth_steps: must be at least 1")
-    try:
-        return SensorConfig(
-            beam_count=beam_count,
-            vertical_angles=angles,
-            horizontal_step=TAU / steps,
-            max_range=_get(raw, path, "max_range", float, 70.0),
-            mount_height=_get(raw, path, "mount_height", float, 2.0),
-            sweep_rate=_get(raw, path, "sweep_rate", float, 20.0),
-            noise_sigma=_get(raw, path, "noise_sigma", float, 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        degrees = np.asarray(vertical_angles_deg, dtype=np.float64)
+    return SensorConfig(beam_count=beam_count, vertical_angles=np.radians(degrees),
+                        horizontal_step=TAU / azimuth_steps, **rest)
+
+
+def _scenario(obstacle, offline_trajectory, offline_tick_rate, **fields) -> ScenarioConfig:
+    return ScenarioConfig(
+        thresholds=obstacle,
+        offline_trajectory=offline_trajectory or fields["ego_trajectory"],
+        offline_tick_rate=offline_tick_rate or fields["tick_rate"],
+        **fields)
+
+
+_BOX_FIELDS = dict.fromkeys(("x_min", "x_max", "y_min", "y_max", "z_top"), (float, _REQUIRED))
+_OBJECT_FIELDS = {"name": (str, _REQUIRED), "length": (float, _REQUIRED),
+                  "width": (float, _REQUIRED), "height": (float, _REQUIRED),
+                  "trajectory": (_read_trajectory, _REQUIRED)}
+_WORLD_FIELDS = {
+    "ground_z": (float, 0.0),
+    "bounds": (_read_rect, _REQUIRED),
+    "static_boxes": (_items(_BOX_FIELDS, Box), []),
+    "dynamic_objects": (_items(_OBJECT_FIELDS, DynamicObject), []),
+}
+_SENSOR_FIELDS = {
+    "beam_count": (int, 32),
+    "vertical_min_deg": (float, -30.0),
+    "vertical_max_deg": (float, 10.0),
+    "vertical_angles_deg": (_read_numbers, None),
+    "azimuth_steps": (int, 720, _AT_LEAST_1),
+    "max_range": (float, 70.0),
+    "mount_height": (float, 2.0),
+    "sweep_rate": (float, 20.0),
+    "noise_sigma": (float, 0.0),
+}
+_DECAY_FIELDS = {"w_on": (float, 10.0), "w_off": (float, 1.0), "enabled": (bool, True)}
+_CLEAN_FIELDS = {"occ_threshold": (float, 0.5), "min_component_cells": (int, 6)}
+_OBSTACLE_FIELDS = {"min_height": (float, 0.30), "max_height": (float, 4.0)}
+_ROOT_FIELDS = {
+    "world": (_section(_WORLD_FIELDS, World), _REQUIRED),
+    "ego_trajectory": (_read_trajectory, _REQUIRED),
+    "offline_trajectory": (_read_trajectory, None),
+    "sensor": (_section(_SENSOR_FIELDS, _sensor), {}),
+    "decay": (_section(_DECAY_FIELDS, DecayParams), {}),
+    "clean": (_section(_CLEAN_FIELDS, CleanParams), {}),
+    "obstacle": (_section(_OBSTACLE_FIELDS, ObstacleThresholds), {}),
+    "extent": (_read_rect, _REQUIRED),
+    "resolution": (float, 0.2, _POSITIVE),
+    "window_size": (float, 150.0, _POSITIVE),
+    "duration": (float, _REQUIRED, _POSITIVE),
+    "tick_rate": (float, 20.0, _POSITIVE),
+    # 0 means "same as tick_rate"
+    "offline_tick_rate": (float, 0.0, (lambda v: v >= 0.0, "must be positive")),
+    "render_stride": (int, 5, _AT_LEAST_1),
+    "epsilon_trace": (float, 0.1, _POSITIVE),
+    "seed": (int, 0),
+    "output_dir": (str, None),
+}
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    _check_keys(raw, "", {
-        "world", "ego_trajectory", "offline_trajectory", "sensor", "decay",
-        "clean", "obstacle", "extent", "resolution", "window_size", "duration",
-        "tick_rate", "offline_tick_rate", "render_stride", "epsilon_trace",
-        "seed", "output_dir",
-    })
-    world = _parse_world(_get(raw, "", "world", dict), "world.")
-    ego = _parse_trajectory(raw.get("ego_trajectory"), "ego_trajectory")
-    offline_traj = (_parse_trajectory(raw["offline_trajectory"], "offline_trajectory")
-                    if "offline_trajectory" in raw else ego)
-    sensor = _parse_sensor(_get(raw, "", "sensor", dict, {}), "sensor.")
-
-    draw = _get(raw, "", "decay", dict, {})
-    _check_keys(draw, "decay.", {"w_on", "w_off", "enabled"})
-    try:
-        decay = DecayParams(_get(draw, "decay.", "w_on", float, 10.0),
-                            _get(draw, "decay.", "w_off", float, 1.0),
-                            _get(draw, "decay.", "enabled", bool, True))
-    except ValueError as exc:
-        raise ConfigError(f"decay.: {exc}") from exc
-
-    craw = _get(raw, "", "clean", dict, {})
-    _check_keys(craw, "clean.", {"occ_threshold", "min_component_cells"})
-    try:
-        clean = CleanParams(_get(craw, "clean.", "occ_threshold", float, 0.5),
-                            _get(craw, "clean.", "min_component_cells", int, 6))
-    except ValueError as exc:
-        raise ConfigError(f"clean.: {exc}") from exc
-
-    oraw = _get(raw, "", "obstacle", dict, {})
-    _check_keys(oraw, "obstacle.", {"min_height", "max_height"})
-    thresholds = ObstacleThresholds(_get(oraw, "obstacle.", "min_height", float, 0.30),
-                                    _get(oraw, "obstacle.", "max_height", float, 4.0))
-
-    extent_raw = _get(raw, "", "extent", list)
-    if len(extent_raw) != 4:
-        raise ConfigError("extent: expected [x_min, y_min, x_max, y_max]")
-    extent = Rect(*(float(v) for v in extent_raw))
-    if extent.x_min >= extent.x_max or extent.y_min >= extent.y_max:
-        raise ConfigError("extent: degenerate rectangle")
-
-    cfg = ScenarioConfig(
-        world=world,
-        ego_trajectory=ego,
-        offline_trajectory=offline_traj,
-        sensor=sensor,
-        decay=decay,
-        clean=clean,
-        thresholds=thresholds,
-        extent=extent,
-        resolution=_get(raw, "", "resolution", float, 0.2),
-        window_size=_get(raw, "", "window_size", float, 150.0),
-        duration=_get(raw, "", "duration", float),
-        tick_rate=_get(raw, "", "tick_rate", float, 20.0),
-        offline_tick_rate=_get(raw, "", "offline_tick_rate", float, 0.0),
-        render_stride=_get(raw, "", "render_stride", int, 5),
-        epsilon_trace=_get(raw, "", "epsilon_trace", float, 0.1),
-        seed=_get(raw, "", "seed", int, 0),
-        output_dir=_get(raw, "", "output_dir", str, None),
-    )
-    if cfg.duration <= 0.0:
-        raise ConfigError("duration: must be positive")
-    if cfg.tick_rate <= 0.0:
-        raise ConfigError("tick_rate: must be positive")
-    if cfg.offline_tick_rate == 0.0:
-        cfg.offline_tick_rate = cfg.tick_rate
-    if cfg.offline_tick_rate < 0.0:
-        raise ConfigError("offline_tick_rate: must be positive")
-    if cfg.render_stride < 1:
-        raise ConfigError("render_stride: must be at least 1")
-    if cfg.resolution <= 0.0:
-        raise ConfigError("resolution: must be positive")
-    if cfg.window_size <= 0.0:
-        raise ConfigError("window_size: must be positive")
-    if cfg.epsilon_trace <= 0.0:
-        raise ConfigError("epsilon_trace: must be positive")
-    return cfg
+    return _read_section(raw, "", _ROOT_FIELDS, _scenario)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -343,19 +319,19 @@ def compute_metrics(trace_values: np.ndarray, trace_offline: np.ndarray,
     """Assemble run metrics from the recorded per-tick state stream.
 
     Trace persistence counts ticks from the last evidence on any trace cell
-    until the region's max deviation from offline drops below eps_trace.
+    until the region's max deviation from offline drops below eps_trace; it
+    stays None for an empty trace region.
     """
-    if len(trace_cells) == 0:
-        raise MetricError("trace region is empty")
     metrics = RunMetrics(tick_rate, trace_cells, trace_offline, trace_values,
                          last_observed, observed_cells, iou, wall_time,
                          static_total, static_ok,
                          None, float(iou[-1]) if len(iou) else 1.0,
                          outputs or {})
-    seen = last_observed[last_observed >= 0]
-    start = int(seen.max()) if seen.size else 0
-    metrics.trace_persistence = persistence_from_stream(
-        metrics.trace_max_dev[start:], eps_trace)
+    if len(trace_cells):
+        seen = last_observed[last_observed >= 0]
+        start = int(seen.max()) if seen.size else 0
+        metrics.trace_persistence = persistence_from_stream(
+            metrics.trace_max_dev[start:], eps_trace)
     return metrics
 
 
@@ -563,20 +539,16 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap],
         outputs[name.split(".")[0]] = path
 
     csv_path = out / "metrics.csv"
-    metrics = (compute_metrics(trace_values, trace_off, region, last_observed,
-                               observed_cells, iou, wall, static_total, static_ok,
-                               cfg.epsilon_trace, cfg.tick_rate, outputs)
-               if m else RunMetrics(cfg.tick_rate, region, trace_off, trace_values,
-                                    last_observed, observed_cells, iou, wall,
-                                    static_total, static_ok,
-                                    None, float(iou[-1]) if n_ticks else 1.0, outputs))
+    metrics = compute_metrics(trace_values, trace_off, region, last_observed,
+                              observed_cells, iou, wall, static_total, static_ok,
+                              cfg.epsilon_trace, cfg.tick_rate, outputs)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tick", "t_sec", "trace_max_dev", "observed_cells", "iou"])
         max_dev = metrics.trace_max_dev
         for k in range(n_ticks):
             writer.writerow([k, f"{k / cfg.tick_rate:.6f}",
-                             f"{max_dev[k]:.12g}" if m else "0",
+                             f"{max_dev[k]:.12g}",
                              int(observed_cells[k]), f"{iou[k]:.12g}"])
     created.append(csv_path)
     outputs["metrics"] = csv_path

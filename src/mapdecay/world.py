@@ -114,12 +114,7 @@ class DynamicObject:
         return local @ rot.T + np.array([p.x, p.y])
 
 
-def object_pose_at(obj: DynamicObject, t: float) -> Pose:
-    return obj.pose_at(t)
-
-
-def ego_pose_at(trajectory: Sequence[Pose], t: float) -> Pose:
-    return interpolate_pose(trajectory, t)
+ego_pose_at = interpolate_pose
 
 
 @dataclass
@@ -130,6 +125,9 @@ class World:
     dynamic_objects: list[DynamicObject] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        names = [obj.name for obj in self.dynamic_objects]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"duplicate dynamic object names in {names}")
         for box in self.static_boxes:
             if box.z_top <= self.ground_z:
                 raise ConfigError("static box top must be above the ground plane")
@@ -139,10 +137,6 @@ class World:
 
     def without_dynamic(self) -> "World":
         return World(self.ground_z, self.bounds, list(self.static_boxes), [])
-
-
-def _default_vertical_angles(n: int) -> np.ndarray:
-    return np.linspace(math.radians(-30.0), math.radians(10.0), n)
 
 
 @dataclass
@@ -157,7 +151,8 @@ class SensorConfig:
 
     def __post_init__(self) -> None:
         if self.vertical_angles is None:
-            self.vertical_angles = _default_vertical_angles(self.beam_count)
+            self.vertical_angles = np.linspace(math.radians(-30.0), math.radians(10.0),
+                                               self.beam_count)
         self.vertical_angles = np.asarray(self.vertical_angles, dtype=np.float64)
         if len(self.vertical_angles) != self.beam_count:
             raise ParameterError("vertical_angles length must equal beam_count")
@@ -167,23 +162,12 @@ class SensorConfig:
             raise ParameterError("the first beam must point downward")
         if self.horizontal_step <= 0.0 or self.max_range <= 0.0:
             raise ParameterError("horizontal_step and max_range must be positive")
+        if not self.noise_sigma >= 0.0:
+            raise ParameterError("noise_sigma must be nonnegative")
         n = round(TAU / self.horizontal_step)
         if n < 1 or abs(n * self.horizontal_step - TAU) > 1e-9:
             raise ParameterError("horizontal_step must divide a full revolution")
         self.scan_count = n
-
-
-@dataclass
-class VerticalScan:
-    """All beams fired at one azimuth.  No-return beams carry range inf and a
-    NaN hit point."""
-    azimuth: float
-    ranges: np.ndarray
-    hit_points: np.ndarray
-
-    @property
-    def returned(self) -> np.ndarray:
-        return np.isfinite(self.ranges)
 
 
 @dataclass
@@ -198,13 +182,6 @@ class Sweep:
     @property
     def scan_count(self) -> int:
         return self.azimuths.shape[0]
-
-    def scan(self, i: int) -> VerticalScan:
-        return VerticalScan(float(self.azimuths[i]), self.ranges[i], self.hit_points[i])
-
-    @property
-    def scans(self) -> list[VerticalScan]:
-        return [self.scan(i) for i in range(self.scan_count)]
 
 
 def _box_enter_t(origin: np.ndarray, dirs: np.ndarray,
@@ -292,11 +269,3 @@ def simulate_sweep(world: World, ego: Pose, cfg: SensorConfig, t: float,
     hits[~np.isfinite(ranges)] = np.nan
     return Sweep(t, ego, azimuths, ranges, hits)
 
-
-def write_sweep_log(sweeps: Sequence[Sweep], path) -> None:
-    """Dump sweeps as text: one line per vertical scan, "t azimuth r_0 ... r_n"."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for sweep in sweeps:
-            for i in range(sweep.scan_count):
-                ranges = " ".join(f"{r:.9g}" for r in sweep.ranges[i])
-                fh.write(f"{sweep.t:.9g} {sweep.azimuths[i]:.9g} {ranges}\n")

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mapdecay import (
     L_FREE_SET,
@@ -156,6 +157,64 @@ class TestOnlineWindow:
         win = offline_window(off, off.origin_x - 2.0, off.origin_y, 50, 50)
         assert (win.values[:, :10] == 0.0).all()
         assert not win.observed[:, :10].any()
+
+
+def _recenter_reference(values, observed, old_origin, new_origin, offline):
+    """Cell-by-cell expectation for a window moved between two origins: a
+    cell whose center lay in the old window keeps its value and flag, any
+    other cell takes the offline value (0.0 outside the extent), unobserved."""
+    res = offline.resolution
+    n = values.shape[0]
+    exp_values = np.zeros((n, n))
+    exp_observed = np.zeros((n, n), dtype=bool)
+    for r in range(n):
+        for c in range(n):
+            x = new_origin[0] + (c + 0.5) * res
+            y = new_origin[1] + (r + 0.5) * res
+            oc = math.floor((x - old_origin[0]) / res)
+            orow = math.floor((y - old_origin[1]) / res)
+            if 0 <= oc < n and 0 <= orow < n:
+                exp_values[r, c] = values[orow, oc]
+                exp_observed[r, c] = observed[orow, oc]
+                continue
+            fc, fr = offline.cell_of(x, y)
+            if 0 <= fc < offline.width and 0 <= fr < offline.height:
+                exp_values[r, c] = offline.values[fr, fc]
+    return exp_values, exp_observed
+
+
+class TestRecenterProperty:
+    # a 30x20-cell offline map at 0.5 m and an 8-cell window; ego positions
+    # reach 6 cells past every edge, so windows hang over the extent and
+    # consecutive jumps range from none to well over a window width
+    OFFLINE = GridMap(0.5, -5.0, -3.0, np.random.default_rng(5).uniform(-3, 3, (20, 30)),
+                      np.random.default_rng(6).random((20, 30)) > 0.3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-8.0, 13.0), st.floats(-6.0, 10.0)),
+                    min_size=1, max_size=5),
+           st.integers(0, 2**32 - 1))
+    def test_recenter_matches_cellwise_reference(self, path, seed):
+        off = self.OFFLINE
+        rng = np.random.default_rng(seed)
+        online = online_init(off, Pose(2.0, 2.0, 0, 0), window_size=4.0)
+        for x, y in path:
+            g = online.grid
+            g.values[:] = rng.uniform(5.0, 9.0, g.values.shape)
+            g.observed[:] = rng.random(g.values.shape) > 0.5
+            values, observed = g.values.copy(), g.observed.copy()
+            old_origin = (g.origin_x, g.origin_y)
+            recenter(online, off, Pose(x, y, 0, 0))
+            g = online.grid
+            # snapped to the offline lattice, with the ego in the central cells
+            assert (g.origin_x - off.origin_x) / 0.5 == pytest.approx(
+                round((g.origin_x - off.origin_x) / 0.5), abs=1e-9)
+            assert abs(g.origin_x + 2.0 - x) <= 0.25 + 1e-9
+            assert abs(g.origin_y + 2.0 - y) <= 0.25 + 1e-9
+            exp_values, exp_observed = _recenter_reference(
+                values, observed, old_origin, (g.origin_x, g.origin_y), off)
+            np.testing.assert_array_equal(g.values, exp_values)
+            np.testing.assert_array_equal(g.observed, exp_observed)
 
 
 class TestOnlineStep:

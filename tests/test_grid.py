@@ -71,6 +71,11 @@ class TestDecayCell:
             DecayParams(10.0, -1.0)
         with pytest.raises(ParameterError):
             DecayParams(-1.0, 10.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                DecayParams(bad, 1.0)
+            with pytest.raises(ParameterError):
+                DecayParams(10.0, bad)
 
     def test_weighted_average(self):
         p = DecayParams(10.0, 1.0)

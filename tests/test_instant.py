@@ -20,11 +20,10 @@ from mapdecay import (
     World,
     apply_instant,
     build_instant_map,
-    classify_scan,
     raycast_cells,
     simulate_sweep,
 )
-from mapdecay.instant import KIND_FREE_SET, KIND_OCCUPIED, KIND_UNTOUCHED
+from mapdecay.instant import KIND_FREE_SET, KIND_OCCUPIED, KIND_UNTOUCHED, obstacle_mask
 from mapdecay.world import TAU
 
 
@@ -84,31 +83,28 @@ class TestRaycast:
             assert to not in cells
 
 
-class TestClassifyScan:
-    def _scan(self, heights):
-        from mapdecay.world import VerticalScan
-        n = len(heights)
-        ranges = np.where(np.isnan(heights), np.inf, 5.0)
-        pts = np.stack([np.full(n, 5.0), np.zeros(n), np.asarray(heights)], axis=1)
-        pts[np.isnan(heights)] = np.nan
-        return VerticalScan(0.0, ranges, pts)
+class TestObstacleMask:
+    def _mask(self, heights, ground_z, thresholds, returned=None):
+        z = np.asarray(heights, dtype=np.float64)
+        returned = np.isfinite(z) if returned is None else np.asarray(returned)
+        return obstacle_mask(z, returned, ground_z, thresholds)
 
     def test_height_window(self):
-        scan = self._scan([0.0, 0.2, 0.31, 2.0, 3.99, 4.0, 5.0])
-        out = classify_scan(scan, 0.0, ObstacleThresholds(0.3, 4.0))
-        assert out.is_obstacle.tolist() == [False, False, True, True, True, False, False]
-        assert out.first_obstacle_index == 2
+        mask = self._mask([0.0, 0.2, 0.31, 2.0, 3.99, 4.0, 5.0], 0.0,
+                          ObstacleThresholds(0.3, 4.0))
+        assert mask.tolist() == [False, False, True, True, True, False, False]
+        assert np.argmax(mask) == 2
 
     def test_no_returns(self):
-        scan = self._scan([float("nan")] * 4)
-        out = classify_scan(scan, 0.0, ObstacleThresholds())
-        assert not out.is_obstacle.any()
-        assert out.first_obstacle_index is None
+        mask = self._mask([float("nan")] * 4, 0.0, ObstacleThresholds())
+        assert not mask.any()
+        # a beam without a return is never an obstacle, whatever its height
+        mask = self._mask([2.0, 2.0], 0.0, ObstacleThresholds(), returned=[False, True])
+        assert mask.tolist() == [False, True]
 
     def test_ground_offset(self):
-        scan = self._scan([1.0, 1.4])
-        out = classify_scan(scan, 1.0, ObstacleThresholds(0.3, 4.0))
-        assert out.is_obstacle.tolist() == [False, True]
+        mask = self._mask([1.0, 1.4], 1.0, ObstacleThresholds(0.3, 4.0))
+        assert mask.tolist() == [False, True]
 
 
 class _Scene:
@@ -154,14 +150,6 @@ class TestBuildInstantMap:
         inst = scene.instant()
         col = int((10.0 + 25.0) / 0.25)  # behind the box along azimuth 0
         assert inst.kind[100, col] == KIND_UNTOUCHED
-
-    def test_values_accessor(self):
-        scene = _Scene()
-        inst = scene.instant()
-        vals = inst.values
-        assert vals[inst.kind == KIND_OCCUPIED][0] == L_OCC
-        assert vals[inst.kind == KIND_FREE_SET][0] == L_FREE_SET
-        assert vals[inst.kind == KIND_UNTOUCHED][0] == 0.0
 
     def test_sensor_outside_extent_rejected(self):
         scene = _Scene()

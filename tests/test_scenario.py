@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import re
 
 import conftest
 
@@ -13,7 +14,6 @@ from mapdecay import (
     ConfigError,
     DecayParams,
     GridMap,
-    MetricError,
     config_from_dict,
     load_config,
     occupancy_iou,
@@ -77,6 +77,35 @@ class TestConfigValidation:
         cfg = config_from_dict(mini_dict)
         assert cfg.decay.w_on == 10.0 and cfg.decay.w_off == 1.0
         assert cfg.render_stride == 5
+
+    @pytest.mark.parametrize("section, key, value, path", [
+        ("world", "bounds", ["a", -30.0, 30.0, 30.0], "world.bounds"),
+        (None, "extent", [None, -24.0, 24.0, 24.0], "extent"),
+        ("sensor", "vertical_angles_deg", ["x"] + [0.0] * 7, "sensor.vertical_angles_deg"),
+        (None, "duration", float("nan"), "duration"),
+        (None, "tick_rate", float("inf"), "tick_rate"),
+        (None, "duration", 10**400, "duration"),  # an integer no float can hold
+    ], ids=["bounds", "extent", "vertical_angles", "nan", "inf", "huge_int"])
+    def test_malformed_numbers_rejected(self, mini_dict, tmp_path, capsys,
+                                        section, key, value, path):
+        (mini_dict[section] if section else mini_dict)[key] = value
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            config_from_dict(mini_dict)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(mini_dict))  # NaN and Infinity as JSON literals
+        assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, values", [
+        ("obstacle", {"min_height": 4.0, "max_height": 0.3}),
+        ("obstacle", {"min_height": 1.0, "max_height": 1.0}),
+        ("sensor", {"noise_sigma": -0.5}),
+        ("decay", {"w_on": float("nan")}),
+    ])
+    def test_invalid_section_values_rejected(self, mini_dict, section, values):
+        mini_dict[section].update(values)
+        with pytest.raises(ConfigError, match=rf"^{section}\."):
+            config_from_dict(mini_dict)
 
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -189,6 +218,16 @@ class TestRunScenario:
         assert metrics_off.trace_max_dev[-1] > 1.0
         assert metrics_off.trace_max_dev[-1] > metrics_on.trace_max_dev[-1]
 
+    def test_empty_trace_region(self, mini_dict, tmp_path):
+        mini_dict["world"]["dynamic_objects"] = []
+        mini_dict["duration"] = 0.5
+        metrics = run_scenario(config_from_dict(mini_dict), output_dir=str(tmp_path))
+        assert len(metrics.trace_cells) == 0
+        assert metrics.trace_persistence is None
+        with open(tmp_path / "metrics.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[2] for row in rows] == ["0"] * 10
+
     def test_trace_region_excludes_walls_and_endpoints(self, run):
         cfg, _, metrics = run
         offline = read_map(metrics.outputs["offline"])
@@ -259,6 +298,12 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"duration": 1.0}))
         assert main(["run", str(bad)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_nan_weight_flag_exits_one(self, mini_dict, tmp_path, capsys):
+        cfg = self._write_cfg(mini_dict, tmp_path)
+        assert main(["run", str(cfg), "--w-on", "nan",
+                     "--output", str(tmp_path / "out")]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_usage_error_exits_two(self):

@@ -204,3 +204,5 @@ class TestSweepBehavior:
             small_sensor(vertical_angles=np.radians([5.0, 10.0, 15.0, 20.0]))
         with pytest.raises(ParameterError):
             small_sensor(horizontal_step=1.0)  # does not divide a revolution
+        with pytest.raises(ParameterError):
+            small_sensor(noise_sigma=-0.1)
