@@ -19,7 +19,6 @@ from .errors import LogError, ParameterError, ScenarioError
 from .grid import DecayParams, GridMap, apply_decay, logodds_from_prob
 from .instant import (
     L_FREE_SET,
-    L_OCC,
     ObstacleThresholds,
     InstantMap,
     apply_instant,
@@ -43,8 +42,7 @@ class CleanParams:
 def build_offline(log: Iterable[tuple[Pose, Sweep]], resolution: float,
                   origin_x: float, origin_y: float, width: int, height: int,
                   ground_z: float,
-                  thresholds: ObstacleThresholds = ObstacleThresholds(),
-                  l_occ: float = L_OCC, l_free: float = L_FREE_SET) -> GridMap:
+                  thresholds: ObstacleThresholds = ObstacleThresholds()) -> GridMap:
     """Integrate an ordered (pose, sweep) log into a single map."""
     grid = GridMap.blank(resolution, origin_x, origin_y, width, height)
     last_t = None
@@ -57,13 +55,12 @@ def build_offline(log: Iterable[tuple[Pose, Sweep]], resolution: float,
             raise LogError("log sweep timestamps must be strictly increasing")
         last_t = sweep.t
         inst = build_instant_map(sweep, origin_x, origin_y, width, height,
-                                 resolution, ground_z, thresholds, l_occ, l_free)
+                                 resolution, ground_z, thresholds)
         apply_instant(grid, inst)
     return grid
 
 
-def clean_offline(grid: GridMap, params: CleanParams = CleanParams(),
-                  l_free: float = L_FREE_SET) -> GridMap:
+def clean_offline(grid: GridMap, params: CleanParams = CleanParams()) -> GridMap:
     """Remove small occupied components (idempotent, returns a new map)."""
     out = grid.copy()
     occ = out.values > logodds_from_prob(params.occ_threshold)
@@ -72,7 +69,7 @@ def clean_offline(grid: GridMap, params: CleanParams = CleanParams(),
         sizes = np.bincount(labels.reshape(-1))
         small = sizes < params.min_component_cells
         small[0] = False
-        out.values[small[labels]] = l_free
+        out.values[small[labels]] = L_FREE_SET
     return out
 
 
@@ -80,7 +77,6 @@ def clean_offline(grid: GridMap, params: CleanParams = CleanParams(),
 class OnlineMap:
     """The runtime map: a cell-snapped square window over the offline extent."""
     grid: GridMap
-    window_cells: int
 
 
 def _snapped_origin(offline: GridMap, ego: Pose, window_cells: int) -> tuple[float, float]:
@@ -97,9 +93,7 @@ def _paste(dst: GridMap, src: GridMap) -> None:
     Both grids lie on the same lattice; cells of ``dst`` outside ``src`` keep
     what they hold.
     """
-    res = src.resolution
-    dc = round((dst.origin_x - src.origin_x) / res)
-    dr = round((dst.origin_y - src.origin_y) / res)
+    dc, dr = dst.offset_in(src)
     c0, c1 = max(dc, 0), min(dc + dst.width, src.width)
     r0, r1 = max(dr, 0), min(dr + dst.height, src.height)
     if c0 < c1 and r0 < r1:
@@ -123,17 +117,17 @@ def online_init(offline: GridMap, ego: Pose, window_size: float = 150.0) -> Onli
     ox, oy = _snapped_origin(offline, ego, cells)
     grid = offline_window(offline, ox, oy, cells, cells)
     grid.observed[:] = False
-    return OnlineMap(grid, cells)
+    return OnlineMap(grid)
 
 
 def recenter(online: OnlineMap, offline: GridMap, ego: Pose) -> None:
     """Move the window onto the ego pose.  Cells that stay inside keep their
     exact values and flags; entering cells are loaded fresh from offline."""
     grid = online.grid
-    new_ox, new_oy = _snapped_origin(offline, ego, online.window_cells)
+    n = grid.width
+    new_ox, new_oy = _snapped_origin(offline, ego, n)
     if abs(new_ox - grid.origin_x) < 1e-12 and abs(new_oy - grid.origin_y) < 1e-12:
         return
-    n = online.window_cells
     moved = GridMap(grid.resolution, new_ox, new_oy, np.zeros((n, n)))
     _paste(moved, offline)
     moved.observed[:] = False  # entering cells have not been seen by this run
@@ -144,8 +138,7 @@ def recenter(online: OnlineMap, offline: GridMap, ego: Pose) -> None:
 
 def online_step(online: OnlineMap, offline: GridMap, sweep: Sweep,
                 decay: DecayParams, ground_z: float,
-                thresholds: ObstacleThresholds = ObstacleThresholds(),
-                l_occ: float = L_OCC, l_free: float = L_FREE_SET) -> InstantMap:
+                thresholds: ObstacleThresholds = ObstacleThresholds()) -> InstantMap:
     """One 20 Hz-style cycle: recenter, decay once, then integrate the sweep.
 
     Decay runs before the occupancy update, so a cell both decayed and hit in
@@ -160,6 +153,6 @@ def online_step(online: OnlineMap, offline: GridMap, sweep: Sweep,
         apply_decay(grid, off_win, decay)
     inst = build_instant_map(sweep, grid.origin_x, grid.origin_y,
                              grid.width, grid.height, grid.resolution,
-                             ground_z, thresholds, l_occ, l_free)
+                             ground_z, thresholds)
     apply_instant(grid, inst)
     return inst

@@ -31,7 +31,7 @@ from .errors import (
     VersionMismatchError,
 )
 
-#: Default clamp bounds for stored log-odds values.
+#: Clamp bounds for stored log-odds values.
 L_MIN = -10.0
 L_MAX = 10.0
 
@@ -54,12 +54,12 @@ def prob_from_logodds(l: float) -> float:
     return 1.0 / (1.0 + math.exp(-l))
 
 
-def update_cell(current: float, measurement: float,
-                lo: float = L_MIN, hi: float = L_MAX) -> float:
-    """Add measurement evidence to a cell and clamp the result to [lo, hi]."""
-    if not (math.isfinite(current) and math.isfinite(measurement)):
+def update_cell(current, measurement, lo: float = L_MIN, hi: float = L_MAX):
+    """Add measurement evidence to a cell and clamp the result to [lo, hi].
+    Works on floats and elementwise on arrays alike."""
+    if not (np.isfinite(current).all() and np.isfinite(measurement).all()):
         raise DomainError("update_cell requires finite log-odds operands")
-    return min(max(current + measurement, lo), hi)
+    return np.clip(current + measurement, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -140,9 +140,8 @@ class GridMap:
 
     @classmethod
     def blank(cls, resolution: float, origin_x: float, origin_y: float,
-              width: int, height: int, fill: float = 0.0) -> "GridMap":
-        return cls(resolution, origin_x, origin_y,
-                   np.full((height, width), fill, dtype=np.float64))
+              width: int, height: int) -> "GridMap":
+        return cls(resolution, origin_x, origin_y, np.zeros((height, width)))
 
     @property
     def width(self) -> int:
@@ -175,12 +174,18 @@ class GridMap:
         return GridMap(self.resolution, self.origin_x, self.origin_y,
                        self.values.copy(), self.observed.copy())
 
-    def same_extent(self, other, tol: float = 1e-9) -> bool:
-        """Whether ``other`` (a grid or an instant map) covers the same cells."""
+    def same_extent(self, other) -> bool:
+        """Whether ``other`` (a grid, an instant map or a scenario config)
+        covers the same cells."""
         return (self.shape == other.shape
-                and abs(self.resolution - other.resolution) <= tol
-                and abs(self.origin_x - other.origin_x) <= tol
-                and abs(self.origin_y - other.origin_y) <= tol)
+                and abs(self.resolution - other.resolution) <= 1e-9
+                and abs(self.origin_x - other.origin_x) <= 1e-9
+                and abs(self.origin_y - other.origin_y) <= 1e-9)
+
+    def offset_in(self, other: "GridMap") -> tuple[int, int]:
+        """(col, row) of this grid's cell (0, 0) in ``other``, on the same lattice."""
+        return (round((self.origin_x - other.origin_x) / other.resolution),
+                round((self.origin_y - other.origin_y) / other.resolution))
 
 
 def apply_decay(grid: GridMap, offline: GridMap, params: DecayParams) -> None:

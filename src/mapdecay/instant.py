@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, BoundsError, ParameterError
-from .grid import GridMap, L_MAX, L_MIN, logodds_from_prob
+from .grid import GridMap, logodds_from_prob, update_cell
 from .world import Sweep
 
 #: Evidence added to a cell per obstacle return.
@@ -106,16 +106,13 @@ def raycast_cells(frm: tuple[int, int], to: tuple[int, int],
 class InstantMap:
     """Measurement evidence from one sweep, one kind code per cell.
 
-    Occupied-evidence cells carry value ``l_occ`` (to be summed into the
-    target), free-set cells carry ``l_free`` (overwrites the target), and
-    untouched cells carry 0.
+    :func:`apply_instant` adds ``L_OCC`` to occupied cells, overwrites
+    free-set cells with ``L_FREE_SET`` and leaves untouched cells alone.
     """
     resolution: float
     origin_x: float
     origin_y: float
     kind: np.ndarray  # uint8 (height, width)
-    l_occ: float = L_OCC
-    l_free: float = L_FREE_SET
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -125,8 +122,7 @@ class InstantMap:
 def build_instant_map(sweep: Sweep, origin_x: float, origin_y: float,
                       width: int, height: int, resolution: float,
                       ground_z: float,
-                      thresholds: ObstacleThresholds = ObstacleThresholds(),
-                      l_occ: float = L_OCC, l_free: float = L_FREE_SET) -> InstantMap:
+                      thresholds: ObstacleThresholds = ObstacleThresholds()) -> InstantMap:
     """Project one sweep into an instantaneous occupancy grid.
 
     Cells outside the extent are silently dropped; the extent must contain
@@ -182,20 +178,20 @@ def build_instant_map(sweep: Sweep, origin_x: float, origin_y: float,
     in_grid = (o_cols >= 0) & (o_cols < width) & (o_rows >= 0) & (o_rows < height)
     kind[o_rows[in_grid], o_cols[in_grid]] = KIND_OCCUPIED
 
-    return InstantMap(resolution, origin_x, origin_y, kind, l_occ, l_free)
+    return InstantMap(resolution, origin_x, origin_y, kind)
 
 
-def apply_instant(target: GridMap, inst: InstantMap,
-                  lo: float = L_MIN, hi: float = L_MAX) -> None:
+def apply_instant(target: GridMap, inst: InstantMap) -> None:
     """Fold an instantaneous map into ``target``.
 
-    Occupied evidence is summed (clamped); free cells are overwritten to the
-    free value.  Both mark the cell observed.  Untouched cells are unchanged.
+    Occupied cells get ``L_OCC`` added by :func:`update_cell`; free cells are
+    overwritten to ``L_FREE_SET``.  Both mark the cell observed.  Untouched
+    cells are unchanged.
     """
     if not target.same_extent(inst):
         raise AlignmentError("instant map extent does not match the target grid")
     occ = inst.kind == KIND_OCCUPIED
     free = inst.kind == KIND_FREE_SET
-    target.values[occ] = np.clip(target.values[occ] + inst.l_occ, lo, hi)
-    target.values[free] = inst.l_free
+    target.values[occ] = update_cell(target.values[occ], L_OCC)
+    target.values[free] = L_FREE_SET
     target.observed[occ | free] = True

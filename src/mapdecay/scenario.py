@@ -13,12 +13,13 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import AlignmentError, ConfigError
 from .grid import DecayParams, GridMap, logodds_from_prob, write_map
 from .instant import ObstacleThresholds
 from .fusion import (
@@ -66,6 +67,36 @@ class ScenarioConfig:
     epsilon_trace: float
     seed: int
     output_dir: Optional[str]
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.duration * self.tick_rate):
+            raise ConfigError(f"duration: {self.duration!r} s at {self.tick_rate!r} Hz "
+                              "is too many ticks to count")
+        for side, length in (("width", self.extent.x_max - self.extent.x_min),
+                             ("height", self.extent.y_max - self.extent.y_min)):
+            cells = length / self.resolution
+            if not (math.isfinite(cells) and math.isclose(cells, round(cells), rel_tol=1e-9)):
+                raise ConfigError(f"extent: {side} {length!r} must be a whole number of "
+                                  f"{self.resolution!r} m cells")
+
+    @property
+    def n_ticks(self) -> int:
+        """Number of online ticks in the run."""
+        return round(self.duration * self.tick_rate)
+
+    # the offline map's lattice, which GridMap.same_extent(cfg) checks maps against
+    @property
+    def origin_x(self) -> float:
+        return self.extent.x_min
+
+    @property
+    def origin_y(self) -> float:
+        return self.extent.y_min
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (round((self.extent.y_max - self.extent.y_min) / self.resolution),
+                round((self.extent.x_max - self.extent.x_min) / self.resolution))
 
 
 _REQUIRED = object()
@@ -154,7 +185,7 @@ def _read_section(raw, path: str, fields: dict, build):
     try:
         return build(**values)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def _section(fields: dict, build):
@@ -169,7 +200,8 @@ def _items(fields: dict, build):
 
 
 def _sensor(beam_count, vertical_min_deg, vertical_max_deg, vertical_angles_deg,
-            azimuth_steps, **rest) -> SensorConfig:
+            azimuth_steps, sweep_rate, **rest) -> SensorConfig:
+    # sweep_rate is accepted so that older configs load; it is not used
     if vertical_angles_deg is None:
         degrees = np.linspace(vertical_min_deg, vertical_max_deg, beam_count)
     else:
@@ -204,7 +236,7 @@ _SENSOR_FIELDS = {
     "azimuth_steps": (int, 720, _AT_LEAST_1),
     "max_range": (float, 70.0),
     "mount_height": (float, 2.0),
-    "sweep_rate": (float, 20.0),
+    "sweep_rate": (float, None),
     "noise_sigma": (float, 0.0),
 }
 _DECAY_FIELDS = {"w_on": (float, 10.0), "w_off": (float, 1.0), "enabled": (bool, True)}
@@ -262,7 +294,6 @@ class TraceRegion:
 
 @dataclass
 class RunMetrics:
-    tick_rate: float
     trace_cells: TraceRegion
     trace_offline: np.ndarray        # (M,) offline value per trace cell
     trace_values: np.ndarray         # (T, M) online value per tick
@@ -272,15 +303,14 @@ class RunMetrics:
     wall_time: np.ndarray            # (T,)
     static_total: np.ndarray         # (T,) observed cells occupied offline
     static_ok: np.ndarray            # (T,) of those, online prob > 0.9
-    trace_persistence: Optional[int]
-    final_iou: float
+    epsilon_trace: float
     outputs: dict = field(default_factory=dict)
 
     @property
     def trace_dev(self) -> np.ndarray:
         return np.abs(self.trace_values - self.trace_offline[None, :])
 
-    @property
+    @cached_property
     def trace_max_dev(self) -> np.ndarray:
         dev = self.trace_dev
         return dev.max(axis=1) if dev.size else np.zeros(dev.shape[0])
@@ -288,6 +318,21 @@ class RunMetrics:
     @property
     def peak_dev(self) -> np.ndarray:
         return self.trace_dev.max(axis=0)
+
+    @property
+    def trace_persistence(self) -> Optional[int]:
+        """Ticks from the last evidence on any trace cell until the region's
+        max deviation from offline drops below ``epsilon_trace``; None for an
+        empty trace region or a deviation that never drops."""
+        if not len(self.trace_cells):
+            return None
+        seen = self.last_observed[self.last_observed >= 0]
+        start = int(seen.max()) if seen.size else 0
+        return persistence_from_stream(self.trace_max_dev[start:], self.epsilon_trace)
+
+    @property
+    def final_iou(self) -> float:
+        return float(self.iou[-1]) if len(self.iou) else 1.0
 
 
 def persistence_from_stream(max_dev, eps_trace: float) -> Optional[int]:
@@ -299,40 +344,23 @@ def persistence_from_stream(max_dev, eps_trace: float) -> Optional[int]:
 
 
 def occupancy_iou(a_values: np.ndarray, b_values: np.ndarray,
-                  mask: np.ndarray, threshold: float = 0.5) -> float:
-    """Cellwise IoU of thresholded occupancy over the masked cells."""
-    cut = logodds_from_prob(threshold)
-    a_occ = (a_values > cut) & mask
-    b_occ = (b_values > cut) & mask
+                  mask: np.ndarray) -> float:
+    """Cellwise IoU of occupancy (p > 0.5, log-odds > 0) over the masked cells."""
+    a_occ = (a_values > 0.0) & mask
+    b_occ = (b_values > 0.0) & mask
     union = int((a_occ | b_occ).sum())
     if union == 0:
         return 1.0
     return int((a_occ & b_occ).sum()) / union
 
 
-def compute_metrics(trace_values: np.ndarray, trace_offline: np.ndarray,
-                    trace_cells: TraceRegion, last_observed: np.ndarray,
-                    observed_cells: np.ndarray, iou: np.ndarray,
-                    wall_time: np.ndarray, static_total: np.ndarray,
-                    static_ok: np.ndarray, eps_trace: float,
-                    tick_rate: float, outputs: Optional[dict] = None) -> RunMetrics:
-    """Assemble run metrics from the recorded per-tick state stream.
-
-    Trace persistence counts ticks from the last evidence on any trace cell
-    until the region's max deviation from offline drops below eps_trace; it
-    stays None for an empty trace region.
-    """
-    metrics = RunMetrics(tick_rate, trace_cells, trace_offline, trace_values,
-                         last_observed, observed_cells, iou, wall_time,
-                         static_total, static_ok,
-                         None, float(iou[-1]) if len(iou) else 1.0,
-                         outputs or {})
-    if len(trace_cells):
-        seen = last_observed[last_observed >= 0]
-        start = int(seen.max()) if seen.size else 0
-        metrics.trace_persistence = persistence_from_stream(
-            metrics.trace_max_dev[start:], eps_trace)
-    return metrics
+def _rect_cells(grid: GridMap, x_min: float, y_min: float, x_max: float,
+                y_max: float) -> tuple[int, int, int, int]:
+    """Spans ``(c0, c1, r0, r1)`` of the cells holding the rectangle's points,
+    clipped to the grid; empty when it lies outside."""
+    c0, r0 = grid.cell_of(x_min, y_min)
+    c1, r1 = grid.cell_of(x_max, y_max)
+    return max(c0, 0), min(c1 + 1, grid.width), max(r0, 0), min(r1 + 1, grid.height)
 
 
 def _footprint_mask(obj: DynamicObject, t: float, grid: GridMap,
@@ -340,19 +368,15 @@ def _footprint_mask(obj: DynamicObject, t: float, grid: GridMap,
     """Cells whose center lies in the object footprint at time t, grown by
     ``margin`` meters on every side."""
     mask = np.zeros(grid.values.shape, dtype=bool)
-    res = grid.resolution
     corners = obj.footprint_corners(t)
-    c0 = max(int(np.floor((corners[:, 0].min() - margin - grid.origin_x) / res)), 0)
-    c1 = min(int(np.floor((corners[:, 0].max() + margin - grid.origin_x) / res)) + 1,
-             grid.width)
-    r0 = max(int(np.floor((corners[:, 1].min() - margin - grid.origin_y) / res)), 0)
-    r1 = min(int(np.floor((corners[:, 1].max() + margin - grid.origin_y) / res)) + 1,
-             grid.height)
+    c0, c1, r0, r1 = _rect_cells(grid, corners[:, 0].min() - margin,
+                                 corners[:, 1].min() - margin,
+                                 corners[:, 0].max() + margin,
+                                 corners[:, 1].max() + margin)
     if c0 >= c1 or r0 >= r1:
         return mask
     cols, rows = np.meshgrid(np.arange(c0, c1), np.arange(r0, r1))
-    cx = grid.origin_x + (cols + 0.5) * res
-    cy = grid.origin_y + (rows + 0.5) * res
+    cx, cy = grid.center_of(cols, rows)
     pose = obj.pose_at(t)
     ca, sa = math.cos(-pose.yaw), math.sin(-pose.yaw)
     lx = ca * (cx - pose.x) - sa * (cy - pose.y)
@@ -363,37 +387,27 @@ def _footprint_mask(obj: DynamicObject, t: float, grid: GridMap,
     return mask
 
 
-def rasterize_footprints(cfg: ScenarioConfig, grid: GridMap) -> np.ndarray:
-    """Union of the cells swept by every dynamic footprint over phase 2."""
-    mask = np.zeros(grid.values.shape, dtype=bool)
-    n_ticks = int(round(cfg.duration * cfg.tick_rate))
-    for obj in cfg.world.dynamic_objects:
-        for k in range(n_ticks):
-            mask |= _footprint_mask(obj, k / cfg.tick_rate, grid)
-    return mask
-
-
 def compute_trace_region(cfg: ScenarioConfig, offline: GridMap) -> TraceRegion:
-    """Swept cells that the cleaned offline map knows to be free.
+    """Cells swept by a dynamic footprint in phase 2 that the cleaned offline
+    map knows to be free.
 
     Cells under or next to an object's first and final footprints are
     excluded: final-footprint cells are still legitimately occupied when the
     run ends, and first-footprint interiors may never have been exposed to
     the sensor at all.  Static obstacle footprints are excluded the same way.
     """
-    mask = rasterize_footprints(cfg, offline)
+    mask = np.zeros(offline.shape, dtype=bool)
+    for obj in cfg.world.dynamic_objects:
+        for k in range(cfg.n_ticks):
+            mask |= _footprint_mask(obj, k / cfg.tick_rate, offline)
     mask &= offline.observed & (offline.values < 0.0)
-    t_end = (int(round(cfg.duration * cfg.tick_rate)) - 1) / cfg.tick_rate
+    t_end = (cfg.n_ticks - 1) / cfg.tick_rate
     margin = 3.0 * offline.resolution
     for obj in cfg.world.dynamic_objects:
         mask &= ~_footprint_mask(obj, 0.0, offline, margin=margin)
         mask &= ~_footprint_mask(obj, t_end, offline, margin=margin)
-    res = offline.resolution
     for box in cfg.world.static_boxes:
-        c0 = max(int(np.floor((box.x_min - offline.origin_x) / res)), 0)
-        c1 = min(int(np.floor((box.x_max - offline.origin_x) / res)) + 1, offline.width)
-        r0 = max(int(np.floor((box.y_min - offline.origin_y) / res)), 0)
-        r1 = min(int(np.floor((box.y_max - offline.origin_y) / res)) + 1, offline.height)
+        c0, c1, r0, r1 = _rect_cells(offline, box.x_min, box.y_min, box.x_max, box.y_max)
         mask[r0:r1, c0:c1] = False
     rows, cols = np.nonzero(mask)
     return TraceRegion(rows, cols)
@@ -422,16 +436,10 @@ def render_frame(grid: GridMap, path) -> None:
 # ---------------------------------------------------------------------------
 # run loop
 
-def _extent_cells(cfg: ScenarioConfig) -> tuple[float, float, int, int]:
-    width = int(round((cfg.extent.x_max - cfg.extent.x_min) / cfg.resolution))
-    height = int(round((cfg.extent.y_max - cfg.extent.y_min) / cfg.resolution))
-    return cfg.extent.x_min, cfg.extent.y_min, width, height
-
-
 def build_offline_phase(cfg: ScenarioConfig) -> GridMap:
     """Phase 1: replay the offline trajectory with dynamic objects disabled."""
     world = cfg.world.without_dynamic()
-    ox, oy, width, height = _extent_cells(cfg)
+    height, width = cfg.shape
     t0 = cfg.offline_trajectory[0].t
     t1 = cfg.offline_trajectory[-1].t
     n = max(1, int(math.floor((t1 - t0) * cfg.offline_tick_rate)) + 1)
@@ -443,7 +451,7 @@ def build_offline_phase(cfg: ScenarioConfig) -> GridMap:
             pose = ego_pose_at(cfg.offline_trajectory, t)
             yield pose, simulate_sweep(world, pose, cfg.sensor, t, rng)
 
-    raw = build_offline(entries(), cfg.resolution, ox, oy, width, height,
+    raw = build_offline(entries(), cfg.resolution, cfg.origin_x, cfg.origin_y, width, height,
                         cfg.world.ground_z, cfg.thresholds)
     return clean_offline(raw, cfg.clean)
 
@@ -454,6 +462,7 @@ def run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap] = None,
     """Run both phases and write frames, maps, and a metrics CSV.
 
     Deterministic given the config; partial outputs are removed on failure.
+    A prebuilt ``offline`` map must lie on the config's extent and resolution.
     """
     out = Path(output_dir or cfg.output_dir or "out")
     created: list[Path] = []
@@ -471,6 +480,8 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap],
     decay = decay_override if decay_override is not None else cfg.decay
     if offline is None:
         offline = build_offline_phase(cfg)
+    elif not offline.same_extent(cfg):
+        raise AlignmentError("offline map does not match the config's extent and resolution")
 
     out.mkdir(parents=True, exist_ok=True)
     frames_dir = out / "frames"
@@ -480,22 +491,21 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap],
     region = compute_trace_region(cfg, offline)
     trace_off = offline.values[region.rows, region.cols].copy()
 
-    n_ticks = int(round(cfg.duration * cfg.tick_rate))
     ego0 = ego_pose_at(cfg.ego_trajectory, 0.0)
     online = online_init(offline, ego0, cfg.window_size)
     rng = np.random.default_rng(cfg.seed + 1) if cfg.sensor.noise_sigma > 0.0 else None
 
     m = len(region)
-    trace_values = np.empty((n_ticks, m), dtype=np.float64)
+    trace_values = np.empty((cfg.n_ticks, m), dtype=np.float64)
     last_observed = np.full(m, -1, dtype=np.int64)
-    observed_cells = np.zeros(n_ticks, dtype=np.int64)
-    iou = np.zeros(n_ticks, dtype=np.float64)
-    wall = np.zeros(n_ticks, dtype=np.float64)
-    static_total = np.zeros(n_ticks, dtype=np.int64)
-    static_ok = np.zeros(n_ticks, dtype=np.int64)
+    observed_cells = np.zeros(cfg.n_ticks, dtype=np.int64)
+    iou = np.zeros(cfg.n_ticks, dtype=np.float64)
+    wall = np.zeros(cfg.n_ticks, dtype=np.float64)
+    static_total = np.zeros(cfg.n_ticks, dtype=np.int64)
+    static_ok = np.zeros(cfg.n_ticks, dtype=np.int64)
     occ_cut = logodds_from_prob(0.9)
 
-    for k in range(n_ticks):
+    for k in range(cfg.n_ticks):
         t_start = time.perf_counter()
         t = k / cfg.tick_rate
         pose = ego_pose_at(cfg.ego_trajectory, t)
@@ -505,8 +515,7 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap],
         grid = online.grid
 
         # trace region cells mapped into the current window
-        dc = round((grid.origin_x - offline.origin_x) / cfg.resolution)
-        dr = round((grid.origin_y - offline.origin_y) / cfg.resolution)
+        dc, dr = grid.offset_in(offline)
         wc = region.cols - dc
         wr = region.rows - dr
         inside = (wc >= 0) & (wc < grid.width) & (wr >= 0) & (wr < grid.height)
@@ -539,14 +548,13 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap],
         outputs[name.split(".")[0]] = path
 
     csv_path = out / "metrics.csv"
-    metrics = compute_metrics(trace_values, trace_off, region, last_observed,
-                              observed_cells, iou, wall, static_total, static_ok,
-                              cfg.epsilon_trace, cfg.tick_rate, outputs)
+    metrics = RunMetrics(region, trace_off, trace_values, last_observed, observed_cells,
+                         iou, wall, static_total, static_ok, cfg.epsilon_trace, outputs)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tick", "t_sec", "trace_max_dev", "observed_cells", "iou"])
         max_dev = metrics.trace_max_dev
-        for k in range(n_ticks):
+        for k in range(cfg.n_ticks):
             writer.writerow([k, f"{k / cfg.tick_rate:.6f}",
                              f"{max_dev[k]:.12g}",
                              int(observed_cells[k]), f"{iou[k]:.12g}"])
@@ -554,7 +562,7 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap],
     outputs["metrics"] = csv_path
 
     persistence = metrics.trace_persistence
-    print(f"ticks={n_ticks} trace_cells={m} "
+    print(f"ticks={cfg.n_ticks} trace_cells={m} "
           f"trace_persistence={persistence if persistence is not None else 'none'} "
           f"final_iou={metrics.final_iou:.6f} "
           f"total_wall_s={wall.sum():.3f}")

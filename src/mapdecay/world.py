@@ -141,18 +141,14 @@ class World:
 
 @dataclass
 class SensorConfig:
-    beam_count: int = 32
-    vertical_angles: Optional[np.ndarray] = None
-    horizontal_step: float = TAU / 720.0
-    max_range: float = 70.0
-    mount_height: float = 2.0
-    sweep_rate: float = 20.0
+    beam_count: int
+    vertical_angles: np.ndarray
+    horizontal_step: float
+    max_range: float
+    mount_height: float
     noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.vertical_angles is None:
-            self.vertical_angles = np.linspace(math.radians(-30.0), math.radians(10.0),
-                                               self.beam_count)
         self.vertical_angles = np.asarray(self.vertical_angles, dtype=np.float64)
         if len(self.vertical_angles) != self.beam_count:
             raise ParameterError("vertical_angles length must equal beam_count")

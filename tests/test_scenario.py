@@ -85,7 +85,10 @@ class TestConfigValidation:
         (None, "duration", float("nan"), "duration"),
         (None, "tick_rate", float("inf"), "tick_rate"),
         (None, "duration", 10**400, "duration"),  # an integer no float can hold
-    ], ids=["bounds", "extent", "vertical_angles", "nan", "inf", "huge_int"])
+        (None, "duration", 1e308, "duration"),  # a tick count no float can hold
+        (None, "extent", [-24.0, -24.0, 24.1, 24.0], "extent"),  # 240.5 cells wide
+    ], ids=["bounds", "extent", "vertical_angles", "nan", "inf", "huge_int",
+            "tick_overflow", "partial_cell"])
     def test_malformed_numbers_rejected(self, mini_dict, tmp_path, capsys,
                                         section, key, value, path):
         (mini_dict[section] if section else mini_dict)[key] = value
@@ -274,6 +277,16 @@ class TestCli:
         assert rc == 0
         assert "trace_persistence=" in capsys.readouterr().out
         assert (tmp_path / "out" / "metrics.csv").exists()
+
+    def test_run_rejects_offline_on_another_lattice(self, mini_dict, tmp_path, capsys):
+        off = tmp_path / "coarse.ogm"
+        coarse = self._write_cfg(dict(mini_dict, resolution=0.4), tmp_path)
+        assert main(["build-offline", str(coarse), str(off)]) == 0
+        cfg = self._write_cfg(mini_dict, tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--offline", str(off), "--output", str(out)]) == 1
+        assert "extent and resolution" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_decay_flag_changes_result(self, mini_dict, tmp_path, capsys):
         cfg = self._write_cfg(mini_dict, tmp_path)
