@@ -85,15 +85,16 @@ def _cmd_render(args) -> int:
 def _cmd_diff(args) -> int:
     a = read_map(args.a)
     b = read_map(args.b)
-    if a.values.shape != b.values.shape:
-        print(f"shape mismatch: {a.width}x{a.height} vs {b.width}x{b.height}")
+    if not a.same_extent(b):
+        print(f"extent mismatch: {a.width}x{a.height} cells of {a.resolution} m at "
+              f"({a.origin_x}, {a.origin_y}) vs {b.width}x{b.height} cells of "
+              f"{b.resolution} m at ({b.origin_x}, {b.origin_y})")
         return 1
-    diff = np.abs(a.values - b.values)
     flags = a.observed != b.observed
-    n_diff = int((diff > 0.0).sum() + (flags & ~(diff > 0.0)).sum())
-    print(f"max_abs_diff={diff.max():.12g} differing_cells={n_diff} "
-          f"flag_mismatches={int(flags.sum())}")
-    return 0 if n_diff == 0 and not flags.any() else 1
+    n_diff = int(((a.values != b.values) | flags).sum())
+    print(f"max_abs_diff={np.abs(a.values - b.values).max(initial=0.0):.12g} "
+          f"differing_cells={n_diff} flag_mismatches={int(flags.sum())}")
+    return 0 if n_diff == 0 else 1
 
 
 _COMMANDS = {

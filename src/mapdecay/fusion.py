@@ -39,25 +39,15 @@ class CleanParams:
             raise ParameterError("min_component_cells must be at least 1")
 
 
-def build_offline(log: Iterable[tuple[Pose, Sweep]], resolution: float,
-                  origin_x: float, origin_y: float, width: int, height: int,
-                  ground_z: float,
-                  thresholds: ObstacleThresholds = ObstacleThresholds()) -> GridMap:
-    """Integrate an ordered (pose, sweep) log into a single map."""
-    grid = GridMap.blank(resolution, origin_x, origin_y, width, height)
+def build_offline(sweeps: Iterable[Sweep], grid: GridMap, ground_z: float,
+                  thresholds: ObstacleThresholds) -> None:
+    """Integrate a logged pass, in time order, into ``grid`` in place."""
     last_t = None
-    for pose, sweep in log:
-        ep = sweep.ego_pose
-        if (abs(pose.x - ep.x) > 1e-9 or abs(pose.y - ep.y) > 1e-9
-                or abs(pose.yaw - ep.yaw) > 1e-9):
-            raise LogError(f"log pose at t={sweep.t} does not match the sweep's ego pose")
+    for sweep in sweeps:
         if last_t is not None and sweep.t <= last_t:
             raise LogError("log sweep timestamps must be strictly increasing")
         last_t = sweep.t
-        inst = build_instant_map(sweep, origin_x, origin_y, width, height,
-                                 resolution, ground_z, thresholds)
-        apply_instant(grid, inst)
-    return grid
+        apply_instant(grid, build_instant_map(sweep, grid, ground_z, thresholds))
 
 
 def clean_offline(grid: GridMap, params: CleanParams = CleanParams()) -> GridMap:
@@ -101,11 +91,19 @@ def _paste(dst: GridMap, src: GridMap) -> None:
         dst.observed[r0 - dr:r1 - dr, c0 - dc:c1 - dc] = src.observed[r0:r1, c0:c1]
 
 
-def offline_window(offline: GridMap, origin_x: float, origin_y: float,
-                   width: int, height: int) -> GridMap:
-    """Offline values over an aligned window; out-of-extent cells are 0.0."""
-    window = GridMap(offline.resolution, origin_x, origin_y, np.zeros((height, width)))
+def offline_window(offline: GridMap, grid: GridMap) -> GridMap:
+    """Offline values and flags over ``grid``'s cells, which lie on the
+    offline lattice; out-of-extent cells are 0.0 and unobserved."""
+    window = GridMap(grid.resolution, grid.origin_x, grid.origin_y, np.zeros(grid.shape))
     _paste(window, offline)
+    return window
+
+
+def _unseen_window(offline: GridMap, origin: tuple[float, float], cells: int) -> GridMap:
+    """A square window of offline values with every cell unobserved."""
+    window = GridMap.blank(offline.resolution, *origin, cells, cells)
+    _paste(window, offline)
+    window.observed[:] = False
     return window
 
 
@@ -114,26 +112,20 @@ def online_init(offline: GridMap, ego: Pose, window_size: float = 150.0) -> Onli
     if not offline.contains_point(ego.x, ego.y):
         raise ScenarioError("ego pose lies outside the offline map extent")
     cells = max(1, round(window_size / offline.resolution))
-    ox, oy = _snapped_origin(offline, ego, cells)
-    grid = offline_window(offline, ox, oy, cells, cells)
-    grid.observed[:] = False
-    return OnlineMap(grid)
+    return OnlineMap(_unseen_window(offline, _snapped_origin(offline, ego, cells), cells))
 
 
 def recenter(online: OnlineMap, offline: GridMap, ego: Pose) -> None:
     """Move the window onto the ego pose.  Cells that stay inside keep their
     exact values and flags; entering cells are loaded fresh from offline."""
     grid = online.grid
-    n = grid.width
-    new_ox, new_oy = _snapped_origin(offline, ego, n)
-    if abs(new_ox - grid.origin_x) < 1e-12 and abs(new_oy - grid.origin_y) < 1e-12:
+    origin = _snapped_origin(offline, ego, grid.width)
+    if abs(origin[0] - grid.origin_x) < 1e-12 and abs(origin[1] - grid.origin_y) < 1e-12:
         return
-    moved = GridMap(grid.resolution, new_ox, new_oy, np.zeros((n, n)))
-    _paste(moved, offline)
-    moved.observed[:] = False  # entering cells have not been seen by this run
+    moved = _unseen_window(offline, origin, grid.width)
     _paste(moved, grid)
     grid.values, grid.observed = moved.values, moved.observed
-    grid.origin_x, grid.origin_y = new_ox, new_oy
+    grid.origin_x, grid.origin_y = origin
 
 
 def online_step(online: OnlineMap, offline: GridMap, sweep: Sweep,
@@ -148,11 +140,7 @@ def online_step(online: OnlineMap, offline: GridMap, sweep: Sweep,
     recenter(online, offline, sweep.ego_pose)
     grid = online.grid
     if decay.enabled:
-        off_win = offline_window(offline, grid.origin_x, grid.origin_y,
-                                 grid.width, grid.height)
-        apply_decay(grid, off_win, decay)
-    inst = build_instant_map(sweep, grid.origin_x, grid.origin_y,
-                             grid.width, grid.height, grid.resolution,
-                             ground_z, thresholds)
+        apply_decay(grid, offline_window(offline, grid), decay)
+    inst = build_instant_map(sweep, grid, ground_z, thresholds)
     apply_instant(grid, inst)
     return inst

@@ -151,11 +151,15 @@ class GridMap:
     def height(self) -> int:
         return self.values.shape[0]
 
-    def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        """World point to (col, row).  May fall outside the grid."""
-        col = math.floor((x - self.origin_x) / self.resolution)
-        row = math.floor((y - self.origin_y) / self.resolution)
-        return col, row
+    def cell_of(self, x, y):
+        """World point to (col, row), elementwise on arrays.  The one
+        world-to-cell rule; the cell may fall outside the grid."""
+        return (np.floor((x - self.origin_x) / self.resolution).astype(np.int64),
+                np.floor((y - self.origin_y) / self.resolution).astype(np.int64))
+
+    def contains_cell(self, col, row):
+        """Whether (col, row) lies in the grid, elementwise on arrays."""
+        return (0 <= col) & (col < self.width) & (0 <= row) & (row < self.height)
 
     def center_of(self, col: int, row: int) -> tuple[float, float]:
         """World coordinates of a cell's center."""
@@ -166,17 +170,15 @@ class GridMap:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def contains_point(self, x: float, y: float) -> bool:
-        col, row = self.cell_of(x, y)
-        return 0 <= col < self.width and 0 <= row < self.height
+    def contains_point(self, x, y):
+        return self.contains_cell(*self.cell_of(x, y))
 
     def copy(self) -> "GridMap":
         return GridMap(self.resolution, self.origin_x, self.origin_y,
                        self.values.copy(), self.observed.copy())
 
     def same_extent(self, other) -> bool:
-        """Whether ``other`` (a grid, an instant map or a scenario config)
-        covers the same cells."""
+        """Whether ``other`` (a grid or an instant map) covers the same cells."""
         return (self.shape == other.shape
                 and abs(self.resolution - other.resolution) <= 1e-9
                 and abs(self.origin_x - other.origin_x) <= 1e-9

@@ -46,23 +46,18 @@ def obstacle_mask(hit_z: np.ndarray, returned: np.ndarray, ground_z: float,
     return returned & (heights > thresholds.min_height) & (heights < thresholds.max_height)
 
 
-def _nudged_cells(px: np.ndarray, py: np.ndarray, sx: float, sy: float,
-                  step: float, origin_x: float, origin_y: float,
-                  resolution: float) -> tuple[np.ndarray, np.ndarray]:
+def _nudged_cells(grid: GridMap, px: np.ndarray, py: np.ndarray, sx: float, sy: float,
+                  step: float) -> tuple[np.ndarray, np.ndarray]:
     """Cells of points moved ``step`` meters along their ray from the sensor.
 
     A hit exactly on a surface that coincides with a cell boundary would alias
     between the two adjacent cells; a small negative step picks the near
-    side, a positive one the cell inside the surface.  NaN points map to
-    cell (0, 0).
+    side, a positive one the cell inside the surface.
     """
     dx, dy = px - sx, py - sy
     norm = np.hypot(dx, dy)
-    norm[~np.isfinite(norm) | (norm == 0.0)] = 1.0
-    cols = np.floor((px + step * dx / norm - origin_x) / resolution)
-    rows = np.floor((py + step * dy / norm - origin_y) / resolution)
-    return (np.nan_to_num(cols, nan=0.0).astype(np.int64),
-            np.nan_to_num(rows, nan=0.0).astype(np.int64))
+    norm[norm == 0.0] = 1.0
+    return grid.cell_of(px + step * dx / norm, py + step * dy / norm)
 
 
 def _raycast_arrays(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -119,25 +114,23 @@ class InstantMap:
         return self.kind.shape
 
 
-def build_instant_map(sweep: Sweep, origin_x: float, origin_y: float,
-                      width: int, height: int, resolution: float,
-                      ground_z: float,
-                      thresholds: ObstacleThresholds = ObstacleThresholds()) -> InstantMap:
-    """Project one sweep into an instantaneous occupancy grid.
+def build_instant_map(sweep: Sweep, grid: GridMap, ground_z: float,
+                      thresholds: ObstacleThresholds) -> InstantMap:
+    """Project one sweep into an instantaneous occupancy map on ``grid``'s
+    lattice.
 
-    Cells outside the extent are silently dropped; the extent must contain
-    the sensor position itself.
+    Cells outside the grid are silently dropped; the grid must contain the
+    sensor position itself.
     """
     sx, sy = sweep.ego_pose.x, sweep.ego_pose.y
-    s_col = int(np.floor((sx - origin_x) / resolution))
-    s_row = int(np.floor((sy - origin_y) / resolution))
-    if not (0 <= s_col < width and 0 <= s_row < height):
+    if not grid.contains_point(sx, sy):
         raise AlignmentError("instant map extent does not contain the sensor position")
 
-    kind = np.zeros((height, width), dtype=np.uint8)
+    kind = np.zeros(grid.shape, dtype=np.uint8)
+    hits = sweep.hit_points
 
     returned = np.isfinite(sweep.ranges)
-    obstacle = obstacle_mask(sweep.hit_points[:, :, 2], returned, ground_z, thresholds)
+    obstacle = obstacle_mask(hits[:, :, 2], returned, ground_z, thresholds)
 
     # free intervals, one per vertical scan with a usable first-beam anchor
     n_az, n_beams = sweep.ranges.shape
@@ -154,31 +147,29 @@ def build_instant_map(sweep: Sweep, origin_x: float, origin_y: float,
     # an obstacle nearer than the first beam's hit yields an empty interval
     usable &= np.isfinite(end_d) & (end_d >= start_d)
 
-    starts = np.floor((sweep.hit_points[:, 0, :2] - (origin_x, origin_y)) / resolution)
-    starts = np.nan_to_num(starts, nan=0.0).astype(np.int64)
+    starts = np.stack(grid.cell_of(hits[usable, 0, 0], hits[usable, 0, 1]), axis=1)
     # the span ends a hair short of its end hit, so grid-line rounding never
     # frees a cell inside the surface that was hit
-    ends = np.stack(_nudged_cells(sweep.hit_points[az, end_beam, 0],
-                                  sweep.hit_points[az, end_beam, 1], sx, sy, -1e-6,
-                                  origin_x, origin_y, resolution), axis=1)
+    end_hits = hits[az[usable], end_beam[usable]]
+    ends = np.stack(_nudged_cells(grid, end_hits[:, 0], end_hits[:, 1], sx, sy, -1e-6),
+                    axis=1)
 
-    _, f_cols, f_rows = _raycast_arrays(starts[usable], ends[usable])
+    _, f_cols, f_rows = _raycast_arrays(starts, ends)
     # with no obstacle in the scan, the last ground return itself is free
-    inc_end = usable & ~any_obs
+    inc_end = ~any_obs[usable]
     f_cols = np.concatenate([f_cols, ends[inc_end, 0]])
     f_rows = np.concatenate([f_rows, ends[inc_end, 1]])
-    in_grid = (f_cols >= 0) & (f_cols < width) & (f_rows >= 0) & (f_rows < height)
+    in_grid = grid.contains_cell(f_cols, f_rows)
     kind[f_rows[in_grid], f_cols[in_grid]] = KIND_FREE_SET
 
     # occupied marking last: it takes precedence over free on conflicts;
     # each obstacle hit is looked up a hair further along its ray
-    o_cols, o_rows = _nudged_cells(sweep.hit_points[:, :, 0][obstacle],
-                                   sweep.hit_points[:, :, 1][obstacle], sx, sy, 1e-6,
-                                   origin_x, origin_y, resolution)
-    in_grid = (o_cols >= 0) & (o_cols < width) & (o_rows >= 0) & (o_rows < height)
+    o_cols, o_rows = _nudged_cells(grid, hits[:, :, 0][obstacle], hits[:, :, 1][obstacle],
+                                   sx, sy, 1e-6)
+    in_grid = grid.contains_cell(o_cols, o_rows)
     kind[o_rows[in_grid], o_cols[in_grid]] = KIND_OCCUPIED
 
-    return InstantMap(resolution, origin_x, origin_y, kind)
+    return InstantMap(grid.resolution, grid.origin_x, grid.origin_y, kind)
 
 
 def apply_instant(target: GridMap, inst: InstantMap) -> None:

@@ -36,7 +36,6 @@ from .world import (
     Pose,
     Rect,
     SensorConfig,
-    TAU,
     World,
     ego_pose_at,
     simulate_sweep,
@@ -72,31 +71,40 @@ class ScenarioConfig:
         if not math.isfinite(self.duration * self.tick_rate):
             raise ConfigError(f"duration: {self.duration!r} s at {self.tick_rate!r} Hz "
                               "is too many ticks to count")
+        span = self.offline_trajectory[-1].t - self.offline_trajectory[0].t
+        if not math.isfinite(span * self.offline_tick_rate):
+            raise ConfigError(f"offline_tick_rate: {self.offline_tick_rate!r} Hz over "
+                              f"{span!r} s is too many sweeps to count")
         for side, length in (("width", self.extent.x_max - self.extent.x_min),
                              ("height", self.extent.y_max - self.extent.y_min)):
             cells = length / self.resolution
             if not (math.isfinite(cells) and math.isclose(cells, round(cells), rel_tol=1e-9)):
                 raise ConfigError(f"extent: {side} {length!r} must be a whole number of "
                                   f"{self.resolution!r} m cells")
+        # poses between knots lie on segments, and the extent is convex
+        grid = self.offline_grid()
+        for name in ("ego_trajectory", "offline_trajectory"):
+            for i, knot in enumerate(getattr(self, name)):
+                if not grid.contains_point(knot.x, knot.y):
+                    raise ConfigError(f"{name}[{i}]: knot ({knot.x!r}, {knot.y!r}) "
+                                      "lies outside extent")
 
     @property
     def n_ticks(self) -> int:
         """Number of online ticks in the run."""
         return round(self.duration * self.tick_rate)
 
-    # the offline map's lattice, which GridMap.same_extent(cfg) checks maps against
     @property
-    def origin_x(self) -> float:
-        return self.extent.x_min
+    def n_offline_ticks(self) -> int:
+        """Number of sweeps in the offline mapping run."""
+        span = self.offline_trajectory[-1].t - self.offline_trajectory[0].t
+        return math.floor(span * self.offline_tick_rate) + 1
 
-    @property
-    def origin_y(self) -> float:
-        return self.extent.y_min
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (round((self.extent.y_max - self.extent.y_min) / self.resolution),
-                round((self.extent.x_max - self.extent.x_min) / self.resolution))
+    def offline_grid(self) -> GridMap:
+        """A blank grid on the offline map's lattice."""
+        return GridMap.blank(self.resolution, self.extent.x_min, self.extent.y_min,
+                             round((self.extent.x_max - self.extent.x_min) / self.resolution),
+                             round((self.extent.y_max - self.extent.y_min) / self.resolution))
 
 
 _REQUIRED = object()
@@ -200,14 +208,14 @@ def _items(fields: dict, build):
 
 
 def _sensor(beam_count, vertical_min_deg, vertical_max_deg, vertical_angles_deg,
-            azimuth_steps, sweep_rate, **rest) -> SensorConfig:
+            sweep_rate, **rest) -> SensorConfig:
     # sweep_rate is accepted so that older configs load; it is not used
     if vertical_angles_deg is None:
-        degrees = np.linspace(vertical_min_deg, vertical_max_deg, beam_count)
-    else:
-        degrees = np.asarray(vertical_angles_deg, dtype=np.float64)
-    return SensorConfig(beam_count=beam_count, vertical_angles=np.radians(degrees),
-                        horizontal_step=TAU / azimuth_steps, **rest)
+        vertical_angles_deg = np.linspace(vertical_min_deg, vertical_max_deg, beam_count)
+    elif len(vertical_angles_deg) != beam_count:
+        raise ConfigError(f"vertical_angles_deg: {len(vertical_angles_deg)} angles "
+                          f"for beam_count {beam_count}")
+    return SensorConfig(vertical_angles=np.radians(vertical_angles_deg), **rest)
 
 
 def _scenario(obstacle, offline_trajectory, offline_tick_rate, **fields) -> ScenarioConfig:
@@ -363,18 +371,15 @@ def _rect_cells(grid: GridMap, x_min: float, y_min: float, x_max: float,
     return max(c0, 0), min(c1 + 1, grid.width), max(r0, 0), min(r1 + 1, grid.height)
 
 
-def _footprint_mask(obj: DynamicObject, t: float, grid: GridMap,
-                    margin: float = 0.0) -> np.ndarray:
-    """Cells whose center lies in the object footprint at time t, grown by
-    ``margin`` meters on every side."""
-    mask = np.zeros(grid.values.shape, dtype=bool)
+def _footprint_cells(obj: DynamicObject, t: float, grid: GridMap,
+                     margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the cells whose center lies in the object footprint at
+    time t, grown by ``margin`` meters on every side."""
     corners = obj.footprint_corners(t)
     c0, c1, r0, r1 = _rect_cells(grid, corners[:, 0].min() - margin,
                                  corners[:, 1].min() - margin,
                                  corners[:, 0].max() + margin,
                                  corners[:, 1].max() + margin)
-    if c0 >= c1 or r0 >= r1:
-        return mask
     cols, rows = np.meshgrid(np.arange(c0, c1), np.arange(r0, r1))
     cx, cy = grid.center_of(cols, rows)
     pose = obj.pose_at(t)
@@ -383,8 +388,7 @@ def _footprint_mask(obj: DynamicObject, t: float, grid: GridMap,
     ly = sa * (cx - pose.x) + ca * (cy - pose.y)
     inside = ((np.abs(lx) <= obj.length / 2.0 + margin)
               & (np.abs(ly) <= obj.width / 2.0 + margin))
-    mask[rows[inside], cols[inside]] = True
-    return mask
+    return rows[inside], cols[inside]
 
 
 def compute_trace_region(cfg: ScenarioConfig, offline: GridMap) -> TraceRegion:
@@ -399,13 +403,13 @@ def compute_trace_region(cfg: ScenarioConfig, offline: GridMap) -> TraceRegion:
     mask = np.zeros(offline.shape, dtype=bool)
     for obj in cfg.world.dynamic_objects:
         for k in range(cfg.n_ticks):
-            mask |= _footprint_mask(obj, k / cfg.tick_rate, offline)
+            mask[_footprint_cells(obj, k / cfg.tick_rate, offline)] = True
     mask &= offline.observed & (offline.values < 0.0)
     t_end = (cfg.n_ticks - 1) / cfg.tick_rate
     margin = 3.0 * offline.resolution
     for obj in cfg.world.dynamic_objects:
-        mask &= ~_footprint_mask(obj, 0.0, offline, margin=margin)
-        mask &= ~_footprint_mask(obj, t_end, offline, margin=margin)
+        mask[_footprint_cells(obj, 0.0, offline, margin=margin)] = False
+        mask[_footprint_cells(obj, t_end, offline, margin=margin)] = False
     for box in cfg.world.static_boxes:
         c0, c1, r0, r1 = _rect_cells(offline, box.x_min, box.y_min, box.x_max, box.y_max)
         mask[r0:r1, c0:c1] = False
@@ -439,21 +443,14 @@ def render_frame(grid: GridMap, path) -> None:
 def build_offline_phase(cfg: ScenarioConfig) -> GridMap:
     """Phase 1: replay the offline trajectory with dynamic objects disabled."""
     world = cfg.world.without_dynamic()
-    height, width = cfg.shape
     t0 = cfg.offline_trajectory[0].t
-    t1 = cfg.offline_trajectory[-1].t
-    n = max(1, int(math.floor((t1 - t0) * cfg.offline_tick_rate)) + 1)
     rng = np.random.default_rng(cfg.seed) if cfg.sensor.noise_sigma > 0.0 else None
-
-    def entries():
-        for k in range(n):
-            t = t0 + k / cfg.offline_tick_rate
-            pose = ego_pose_at(cfg.offline_trajectory, t)
-            yield pose, simulate_sweep(world, pose, cfg.sensor, t, rng)
-
-    raw = build_offline(entries(), cfg.resolution, cfg.origin_x, cfg.origin_y, width, height,
-                        cfg.world.ground_z, cfg.thresholds)
-    return clean_offline(raw, cfg.clean)
+    times = (t0 + k / cfg.offline_tick_rate for k in range(cfg.n_offline_ticks))
+    sweeps = (simulate_sweep(world, ego_pose_at(cfg.offline_trajectory, t), cfg.sensor, t, rng)
+              for t in times)
+    grid = cfg.offline_grid()
+    build_offline(sweeps, grid, cfg.world.ground_z, cfg.thresholds)
+    return clean_offline(grid, cfg.clean)
 
 
 def run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap] = None,
@@ -480,7 +477,7 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap],
     decay = decay_override if decay_override is not None else cfg.decay
     if offline is None:
         offline = build_offline_phase(cfg)
-    elif not offline.same_extent(cfg):
+    elif not offline.same_extent(cfg.offline_grid()):
         raise AlignmentError("offline map does not match the config's extent and resolution")
 
     out.mkdir(parents=True, exist_ok=True)
@@ -518,7 +515,7 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap],
         dc, dr = grid.offset_in(offline)
         wc = region.cols - dc
         wr = region.rows - dr
-        inside = (wc >= 0) & (wc < grid.width) & (wr >= 0) & (wr < grid.height)
+        inside = grid.contains_cell(wc, wr)
         vals = trace_off.copy()  # out-of-window cells sit at their offline value
         vals[inside] = grid.values[wr[inside], wc[inside]]
         trace_values[k] = vals
@@ -527,8 +524,7 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap],
         last_observed[touched] = k
 
         observed_cells[k] = int(grid.observed.sum())
-        off_win = offline_window(offline, grid.origin_x, grid.origin_y,
-                                 grid.width, grid.height)
+        off_win = offline_window(offline, grid)
         iou[k] = occupancy_iou(grid.values, off_win.values, grid.observed)
         static = grid.observed & off_win.observed & (off_win.values > 0.0)
         static_total[k] = int(static.sum())

@@ -141,34 +141,29 @@ class World:
 
 @dataclass
 class SensorConfig:
-    beam_count: int
+    """A revolving beam array: ``azimuth_steps`` scans per revolution, one
+    beam per entry of ``vertical_angles`` (radians, increasing)."""
     vertical_angles: np.ndarray
-    horizontal_step: float
+    azimuth_steps: int
     max_range: float
     mount_height: float
     noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
         self.vertical_angles = np.asarray(self.vertical_angles, dtype=np.float64)
-        if len(self.vertical_angles) != self.beam_count:
-            raise ParameterError("vertical_angles length must equal beam_count")
         if np.any(np.diff(self.vertical_angles) <= 0.0):
             raise ParameterError("vertical angles must be strictly increasing")
         if self.vertical_angles[0] >= 0.0:
             raise ParameterError("the first beam must point downward")
-        if self.horizontal_step <= 0.0 or self.max_range <= 0.0:
-            raise ParameterError("horizontal_step and max_range must be positive")
+        if self.azimuth_steps < 1 or self.max_range <= 0.0:
+            raise ParameterError("azimuth_steps must be at least 1 and max_range positive")
         if not self.noise_sigma >= 0.0:
             raise ParameterError("noise_sigma must be nonnegative")
-        n = round(TAU / self.horizontal_step)
-        if n < 1 or abs(n * self.horizontal_step - TAU) > 1e-9:
-            raise ParameterError("horizontal_step must divide a full revolution")
-        self.scan_count = n
 
 
 @dataclass
 class Sweep:
-    """One full revolution: scan i has azimuth ego.yaw + i * horizontal_step."""
+    """One full revolution: scan i has azimuth ego.yaw + i * TAU / azimuth_steps."""
     t: float
     ego_pose: Pose
     azimuths: np.ndarray            # (n_scans,)
@@ -215,19 +210,19 @@ def simulate_sweep(world: World, ego: Pose, cfg: SensorConfig, t: float,
     if not world.bounds.contains(ego.x, ego.y):
         raise ScenarioError(f"ego pose ({ego.x}, {ego.y}) is outside the world bounds")
 
-    n_az = cfg.scan_count
-    azimuths = ego.yaw + np.arange(n_az) * cfg.horizontal_step
+    n_az = cfg.azimuth_steps
+    azimuths = ego.yaw + np.arange(n_az) * (TAU / n_az)
     elev = cfg.vertical_angles
     cos_e, sin_e = np.cos(elev), np.sin(elev)
     cos_a, sin_a = np.cos(azimuths), np.sin(azimuths)
 
-    dirs = np.empty((n_az, cfg.beam_count, 3))
+    dirs = np.empty((n_az, len(elev), 3))
     dirs[:, :, 0] = cos_a[:, None] * cos_e[None, :]
     dirs[:, :, 1] = sin_a[:, None] * cos_e[None, :]
     dirs[:, :, 2] = sin_e[None, :]
 
     origin = np.array([ego.x, ego.y, world.ground_z + cfg.mount_height])
-    best = np.full((n_az, cfg.beam_count), np.inf)
+    best = np.full(dirs.shape[:2], np.inf)
 
     # ground plane
     dz = dirs[:, :, 2]

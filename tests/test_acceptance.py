@@ -269,9 +269,7 @@ def test_7_pipeline_equivalence(mini_cfg):
     for k in range(30):
         sweep = simulate_sweep(world, ego, mini_cfg.sensor, k / 20.0)
         online_step(online, offline, sweep, disabled, 0.0, mini_cfg.thresholds)
-        inst = build_instant_map(sweep, plain.origin_x, plain.origin_y,
-                                 plain.width, plain.height, plain.resolution,
-                                 0.0, mini_cfg.thresholds)
+        inst = build_instant_map(sweep, plain, 0.0, mini_cfg.thresholds)
         apply_instant(plain, inst)
 
     assert np.array_equal(g.values, plain.values)

@@ -35,19 +35,12 @@ class TestBuildOffline:
         return simulate_sweep(mini_cfg.world.without_dynamic(), pose,
                               mini_cfg.sensor, t)
 
-    def test_pose_mismatch_rejected(self, mini_cfg):
-        pose = Pose(0, 0, 0, 0)
-        sweep = self._sweep(mini_cfg, pose, 0.0)
-        with pytest.raises(LogError):
-            build_offline([(Pose(1.0, 0, 0, 0), sweep)], 0.2, -24, -24,
-                          240, 240, 0.0)
-
     def test_timestamps_must_increase(self, mini_cfg):
         pose = Pose(0, 0, 0, 0)
-        log = [(pose, self._sweep(mini_cfg, pose, 0.0)),
-               (pose, self._sweep(mini_cfg, pose, 0.0))]
+        sweeps = [self._sweep(mini_cfg, pose, 0.0), self._sweep(mini_cfg, pose, 0.0)]
         with pytest.raises(LogError):
-            build_offline(log, 0.2, -24, -24, 240, 240, 0.0)
+            build_offline(sweeps, GridMap.blank(0.2, -24, -24, 240, 240), 0.0,
+                          mini_cfg.thresholds)
 
     def test_wall_registered_occupied(self, mini_cfg):
         grid = build_offline_phase(mini_cfg)
@@ -108,7 +101,7 @@ class TestOnlineWindow:
         online = online_init(off, Pose(0, 0, 0, 0), window_size=20.0)
         g = online.grid
         assert g.values.shape == (100, 100)
-        win = offline_window(off, g.origin_x, g.origin_y, 100, 100)
+        win = offline_window(off, g)
         np.testing.assert_array_equal(g.values, win.values)
         assert not g.observed.any()
 
@@ -142,19 +135,20 @@ class TestOnlineWindow:
         online.grid.values[:] = 5.0
         recenter(online, off, Pose(2.0, 0, 0, 0))
         g = online.grid
-        win = offline_window(off, g.origin_x, g.origin_y, 100, 100)
+        win = offline_window(off, g)
         np.testing.assert_array_equal(g.values[:, 90:], win.values[:, 90:])
         assert not g.observed[:, 90:].any()
         assert (g.values[:, :90] == 5.0).all()
 
     def test_offline_window_keeps_observed_flags(self):
         off = self._offline()
-        win = offline_window(off, off.origin_x + 2.0, off.origin_y + 2.0, 50, 50)
+        win = offline_window(off, GridMap.blank(0.2, off.origin_x + 2.0, off.origin_y + 2.0,
+                                                50, 50))
         np.testing.assert_array_equal(win.observed, off.observed[10:60, 10:60])
 
     def test_offline_window_outside_extent_unknown(self):
         off = self._offline()
-        win = offline_window(off, off.origin_x - 2.0, off.origin_y, 50, 50)
+        win = offline_window(off, GridMap.blank(0.2, off.origin_x - 2.0, off.origin_y, 50, 50))
         assert (win.values[:, :10] == 0.0).all()
         assert not win.observed[:, :10].any()
 
@@ -231,7 +225,7 @@ class TestOnlineStep:
         r, c = np.argwhere(inst0.kind == KIND_OCCUPIED)[0]
         g = online.grid
         g.values[r, c] = 0.0
-        win = offline_window(offline, g.origin_x, g.origin_y, g.width, g.height)
+        win = offline_window(offline, g)
         off_v = win.values[r, c]
         expect = (0.0 * 10 + off_v * 1) / 11.0 + L_OCC
         online_step(online, offline, sweep, decay, 0.0, mini_cfg.thresholds)
@@ -243,7 +237,7 @@ class TestOnlineStep:
         g = online.grid
         # a cell inside the blind disk never receives evidence
         r, c = g.cell_of(1.0, 1.0)[1], g.cell_of(1.0, 1.0)[0]
-        win = offline_window(offline, g.origin_x, g.origin_y, g.width, g.height)
+        win = offline_window(offline, g)
         g.values[r, c] = win.values[r, c] + 8.0
         sweep = simulate_sweep(mini_cfg.world.without_dynamic(), Pose(0, 0, 0, 0),
                                mini_cfg.sensor, 0.0)

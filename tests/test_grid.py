@@ -158,6 +158,9 @@ class TestGridMap:
         assert g.cell_of(-1.0, -1.0) == (0, 0)
         assert g.cell_of(-0.51, -0.51) == (0, 0)
         assert g.cell_of(-0.5, -0.5) == (1, 1)
+        cols, rows = g.cell_of(np.array([-1.0, -0.51, -0.5, 4.1]),
+                               np.array([-1.0, -0.5, 3.99, -1.01]))
+        assert cols.tolist() == [0, 0, 1, 10] and rows.tolist() == [0, 1, 9, -1]
         assert g.center_of(0, 0) == (pytest.approx(-0.75), pytest.approx(-0.75))
 
     def test_contains_point(self):
@@ -166,6 +169,9 @@ class TestGridMap:
         assert g.contains_point(0.999, 0.999)
         assert not g.contains_point(1.0, 0.5)
         assert not g.contains_point(-0.001, 0.5)
+        inside = g.contains_point(np.array([0.0, 0.999, 1.0, -0.001, 0.5]),
+                                  np.array([0.0, 0.999, 0.5, 0.5, 1.0]))
+        assert inside.tolist() == [True, True, False, False, False]
 
     def test_shape_validation(self):
         with pytest.raises(ParameterError):

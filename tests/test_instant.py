@@ -24,7 +24,6 @@ from mapdecay import (
     simulate_sweep,
 )
 from mapdecay.instant import KIND_FREE_SET, KIND_OCCUPIED, KIND_UNTOUCHED, obstacle_mask
-from mapdecay.world import TAU
 
 
 def dense_line_cells(frm, to, step=0.01):
@@ -113,15 +112,13 @@ class _Scene:
     def __init__(self):
         self.world = World(0.0, Rect(-50, -50, 50, 50),
                            [Box(6.0, 7.0, -1.0, 1.0, 3.0)], [])
-        self.cfg = SensorConfig(beam_count=4,
-                                vertical_angles=np.radians([-20.0, -10.0, -3.0, 4.0]),
-                                horizontal_step=TAU / 360, max_range=30.0,
-                                mount_height=2.0)
+        self.cfg = SensorConfig(vertical_angles=np.radians([-20.0, -10.0, -3.0, 4.0]),
+                                azimuth_steps=360, max_range=30.0, mount_height=2.0)
         self.sweep = simulate_sweep(self.world, Pose(0, 0, 0, 0), self.cfg, 0.0)
 
     def instant(self, res=0.25):
-        return build_instant_map(self.sweep, -25.0, -25.0, 200, 200, res, 0.0,
-                                 ObstacleThresholds())
+        return build_instant_map(self.sweep, GridMap.blank(res, -25.0, -25.0, 200, 200),
+                                 0.0, ObstacleThresholds())
 
 
 class TestBuildInstantMap:
@@ -154,7 +151,7 @@ class TestBuildInstantMap:
     def test_sensor_outside_extent_rejected(self):
         scene = _Scene()
         with pytest.raises(AlignmentError):
-            build_instant_map(scene.sweep, 100.0, 100.0, 10, 10, 0.25, 0.0,
+            build_instant_map(scene.sweep, GridMap.blank(0.25, 100.0, 100.0, 10, 10), 0.0,
                               ObstacleThresholds())
 
 

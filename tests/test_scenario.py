@@ -21,6 +21,7 @@ from mapdecay import (
     read_map,
     render_frame,
     run_scenario,
+    write_map,
 )
 from mapdecay.cli import main
 from mapdecay.scenario import build_offline_phase, compute_trace_region
@@ -87,8 +88,11 @@ class TestConfigValidation:
         (None, "duration", 10**400, "duration"),  # an integer no float can hold
         (None, "duration", 1e308, "duration"),  # a tick count no float can hold
         (None, "extent", [-24.0, -24.0, 24.1, 24.0], "extent"),  # 240.5 cells wide
+        (None, "offline_tick_rate", 1e308, "offline_tick_rate"),  # a sweep count no float can hold
+        (None, "ego_trajectory", [[0.0, 0.0, 0.0, 0.0], [7.0, 28.0, 0.0, 0.0]],
+         "ego_trajectory[1]"),  # ends outside the +-24 m extent
     ], ids=["bounds", "extent", "vertical_angles", "nan", "inf", "huge_int",
-            "tick_overflow", "partial_cell"])
+            "tick_overflow", "partial_cell", "offline_tick_overflow", "knot_outside_extent"])
     def test_malformed_numbers_rejected(self, mini_dict, tmp_path, capsys,
                                         section, key, value, path):
         (mini_dict[section] if section else mini_dict)[key] = value
@@ -104,6 +108,7 @@ class TestConfigValidation:
         ("obstacle", {"min_height": 1.0, "max_height": 1.0}),
         ("sensor", {"noise_sigma": -0.5}),
         ("decay", {"w_on": float("nan")}),
+        ("sensor", {"vertical_angles_deg": [-20.0, -10.0, 0.0]}),  # beam_count is 8
     ])
     def test_invalid_section_values_rejected(self, mini_dict, section, values):
         mini_dict[section].update(values)
@@ -267,6 +272,20 @@ class TestCli:
         assert main(["diff", str(a), str(b)]) == 1
         out = capsys.readouterr().out
         assert "max_abs_diff=1.5" in out and "differing_cells=1" in out
+
+    @pytest.mark.parametrize("a, b, expect, status", [
+        (GridMap(0.2, 0.0, 0.0, np.zeros((3, 3))), GridMap(0.4, 5.0, 5.0, np.zeros((3, 3))),
+         "extent mismatch", 1),
+        (GridMap(0.2, 0.0, 0.0, np.zeros((3, 3))),
+         GridMap(0.2, 0.0, 0.0, np.diag([0.0, np.nan, 0.0])), "differing_cells=1", 1),
+        (GridMap(0.2, 0.0, 0.0, np.zeros((0, 0))), GridMap(0.2, 0.0, 0.0, np.zeros((0, 0))),
+         "differing_cells=0", 0),
+    ], ids=["other_lattice", "nan_cell", "empty"])
+    def test_diff_checks_lattice_nan_and_empty(self, tmp_path, capsys, a, b, expect, status):
+        write_map(a, tmp_path / "a.ogm")
+        write_map(b, tmp_path / "b.ogm")
+        assert main(["diff", str(tmp_path / "a.ogm"), str(tmp_path / "b.ogm")]) == status
+        assert expect in capsys.readouterr().out
 
     def test_run_with_prebuilt_offline(self, mini_dict, tmp_path, capsys):
         cfg = self._write_cfg(mini_dict, tmp_path)

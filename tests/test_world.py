@@ -27,9 +27,8 @@ def flat_world(boxes=(), objects=()):
 
 
 def small_sensor(**kw):
-    args = dict(beam_count=4,
-                vertical_angles=np.radians([-20.0, -10.0, -2.0, 5.0]),
-                horizontal_step=TAU / 36, max_range=40.0, mount_height=2.0)
+    args = dict(vertical_angles=np.radians([-20.0, -10.0, -2.0, 5.0]),
+                azimuth_steps=36, max_range=40.0, mount_height=2.0)
     args.update(kw)
     return SensorConfig(**args)
 
@@ -136,13 +135,13 @@ class TestBoxReturns:
     def test_sampling_oracle(self):
         # march each ray in 1 mm steps and find the first surface crossing
         boxes = [Box(3.0, 5.0, 1.0, 4.0, 2.5), Box(-6.0, -4.0, -3.0, 0.5, 1.0)]
-        cfg = small_sensor(horizontal_step=TAU / 24, max_range=20.0)
+        cfg = small_sensor(azimuth_steps=24, max_range=20.0)
         ego = Pose(0.5, -0.25, 0.3, 0.0)
         sweep = simulate_sweep(flat_world(boxes), ego, cfg, 0.0)
         origin = np.array([ego.x, ego.y, 2.0])
         step = 1e-3
         for i in range(sweep.scan_count):
-            for b in range(cfg.beam_count):
+            for b in range(len(cfg.vertical_angles)):
                 az = sweep.azimuths[i]
                 va = cfg.vertical_angles[b]
                 d = np.array([math.cos(va) * math.cos(az),
@@ -203,6 +202,6 @@ class TestSweepBehavior:
         with pytest.raises(ParameterError):
             small_sensor(vertical_angles=np.radians([5.0, 10.0, 15.0, 20.0]))
         with pytest.raises(ParameterError):
-            small_sensor(horizontal_step=1.0)  # does not divide a revolution
+            small_sensor(azimuth_steps=0)
         with pytest.raises(ParameterError):
             small_sensor(noise_sigma=-0.1)
