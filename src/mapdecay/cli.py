@@ -109,7 +109,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (MapDecayError, OSError) as exc:
+    except (MapDecayError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -237,7 +237,7 @@ _WORLD_FIELDS = {
     "dynamic_objects": (_items(_OBJECT_FIELDS, DynamicObject), []),
 }
 _SENSOR_FIELDS = {
-    "beam_count": (int, 32),
+    "beam_count": (int, 32, _AT_LEAST_1),
     "vertical_min_deg": (float, -30.0),
     "vertical_max_deg": (float, 10.0),
     "vertical_angles_deg": (_read_numbers, None),

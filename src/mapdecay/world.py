@@ -151,6 +151,11 @@ class SensorConfig:
 
     def __post_init__(self) -> None:
         self.vertical_angles = np.asarray(self.vertical_angles, dtype=np.float64)
+        if not self.vertical_angles.size:
+            raise ParameterError("a sensor needs at least one beam")
+        # past +-90 degrees a beam would point at the opposite azimuth
+        if not np.all(np.abs(self.vertical_angles) <= math.pi / 2):
+            raise ParameterError("vertical angles must lie within +-90 degrees")
         if np.any(np.diff(self.vertical_angles) <= 0.0):
             raise ParameterError("vertical angles must be strictly increasing")
         if self.vertical_angles[0] >= 0.0:
@@ -184,7 +189,7 @@ def _box_enter_t(origin: np.ndarray, dirs: np.ndarray,
     for axis in range(3):
         d = dirs[..., axis]
         o = origin[axis]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t1 = (lo[axis] - o) / d
             t2 = (hi[axis] - o) / d
         near = np.minimum(t1, t2)
@@ -198,6 +203,29 @@ def _box_enter_t(origin: np.ndarray, dirs: np.ndarray,
         tmax = np.minimum(tmax, far)
     hit = (tmin <= tmax) & (tmin > 1e-9)
     return np.where(hit, tmin, np.inf)
+
+
+def _sector_rows(origin: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 az0: float, n_az: int) -> list[slice]:
+    """Row slices whose rays can meet the footprint ``lo[:2]..hi[:2]``, in a
+    frame where row i points at ``az0 + i * TAU / n_az``.  Seen from outside,
+    the footprint spans the circle less the widest gap between its corner
+    angles; one step of padding each side covers the rounding of the rays."""
+    ox, oy = origin[0], origin[1]
+    if lo[0] <= ox <= hi[0] and lo[1] <= oy <= hi[1]:
+        return [slice(None)]
+    ang = sorted(math.atan2(y - oy, x - ox) for x in (lo[0], hi[0]) for y in (lo[1], hi[1]))
+    gap, k = max((b - a, i) for i, (a, b) in enumerate(zip(ang, ang[1:] + [ang[0] + TAU])))
+    step = TAU / n_az
+    start = (ang[(k + 1) % 4] - az0) % TAU
+    first = math.ceil(start / step) - 1
+    count = math.floor((start + TAU - gap) / step) + 2 - first
+    if count >= n_az:
+        return [slice(None)]
+    first %= n_az
+    if first + count <= n_az:
+        return [slice(first, first + count)]
+    return [slice(first, n_az), slice(0, first + count - n_az)]
 
 
 def simulate_sweep(world: World, ego: Pose, cfg: SensorConfig, t: float,
@@ -226,15 +254,17 @@ def simulate_sweep(world: World, ego: Pose, cfg: SensorConfig, t: float,
 
     # ground plane
     dz = dirs[:, :, 2]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         t_ground = (world.ground_z - origin[2]) / dz
     t_ground = np.where((dz < 0.0) & (t_ground > 1e-9), t_ground, np.inf)
     best = np.minimum(best, t_ground)
 
+    # each box is tested only against the rows of its azimuth sector
     for box in world.static_boxes:
         lo = np.array([box.x_min, box.y_min, world.ground_z])
         hi = np.array([box.x_max, box.y_max, box.z_top])
-        best = np.minimum(best, _box_enter_t(origin, dirs, lo, hi))
+        for rows in _sector_rows(origin, lo, hi, ego.yaw, n_az):
+            best[rows] = np.minimum(best[rows], _box_enter_t(origin, dirs[rows], lo, hi))
 
     for obj in world.dynamic_objects:
         pose = obj.pose_at(t)
@@ -243,12 +273,15 @@ def simulate_sweep(world: World, ego: Pose, cfg: SensorConfig, t: float,
         ox, oy = origin[0] - pose.x, origin[1] - pose.y
         local_origin[0] = c * ox - s * oy
         local_origin[1] = s * ox + c * oy
-        local_dirs = dirs.copy()
-        local_dirs[:, :, 0] = c * dirs[:, :, 0] - s * dirs[:, :, 1]
-        local_dirs[:, :, 1] = s * dirs[:, :, 0] + c * dirs[:, :, 1]
         lo = np.array([-obj.length / 2.0, -obj.width / 2.0, world.ground_z])
         hi = np.array([obj.length / 2.0, obj.width / 2.0, world.ground_z + obj.height])
-        best = np.minimum(best, _box_enter_t(local_origin, local_dirs, lo, hi))
+        for rows in _sector_rows(local_origin, lo, hi, ego.yaw - pose.yaw, n_az):
+            d = dirs[rows]
+            local_dirs = d.copy()
+            local_dirs[:, :, 0] = c * d[:, :, 0] - s * d[:, :, 1]
+            local_dirs[:, :, 1] = s * d[:, :, 0] + c * d[:, :, 1]
+            best[rows] = np.minimum(best[rows],
+                                    _box_enter_t(local_origin, local_dirs, lo, hi))
 
     if rng is not None and cfg.noise_sigma > 0.0:
         noise = rng.normal(0.0, cfg.noise_sigma, best.shape)

@@ -91,8 +91,11 @@ class TestConfigValidation:
         (None, "offline_tick_rate", 1e308, "offline_tick_rate"),  # a sweep count no float can hold
         (None, "ego_trajectory", [[0.0, 0.0, 0.0, 0.0], [7.0, 28.0, 0.0, 0.0]],
          "ego_trajectory[1]"),  # ends outside the +-24 m extent
+        ("sensor", "beam_count", 0, "sensor.beam_count"),
+        ("sensor", "beam_count", -3, "sensor.beam_count"),
     ], ids=["bounds", "extent", "vertical_angles", "nan", "inf", "huge_int",
-            "tick_overflow", "partial_cell", "offline_tick_overflow", "knot_outside_extent"])
+            "tick_overflow", "partial_cell", "offline_tick_overflow", "knot_outside_extent",
+            "no_beams", "negative_beams"])
     def test_malformed_numbers_rejected(self, mini_dict, tmp_path, capsys,
                                         section, key, value, path):
         (mini_dict[section] if section else mini_dict)[key] = value
@@ -109,6 +112,8 @@ class TestConfigValidation:
         ("sensor", {"noise_sigma": -0.5}),
         ("decay", {"w_on": float("nan")}),
         ("sensor", {"vertical_angles_deg": [-20.0, -10.0, 0.0]}),  # beam_count is 8
+        ("sensor", {"vertical_angles_deg": [], "beam_count": 0}),
+        ("sensor", {"vertical_min_deg": -120.0}),  # the lowest beam points backwards
     ])
     def test_invalid_section_values_rejected(self, mini_dict, section, values):
         mini_dict[section].update(values)
@@ -331,6 +336,14 @@ class TestCli:
         bad.write_text(json.dumps({"duration": 1.0}))
         assert main(["run", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_extent_too_large_to_allocate_exits_one(self, mini_dict, tmp_path, capsys):
+        # 10^7 x 10^7 cells: the request exceeds the address space and fails
+        # at once, without touching memory
+        mini_dict["extent"] = [-1e6, -1e6, 1e6, 1e6]
+        cfg = self._write_cfg(mini_dict, tmp_path)
+        assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
+        assert "error: Unable to allocate" in capsys.readouterr().err
 
     def test_nan_weight_flag_exits_one(self, mini_dict, tmp_path, capsys):
         cfg = self._write_cfg(mini_dict, tmp_path)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mapdecay import (
     Box,
@@ -19,7 +19,7 @@ from mapdecay import (
     interpolate_pose,
     simulate_sweep,
 )
-from mapdecay.world import TAU, normalize_angle
+from mapdecay.world import TAU, _box_enter_t, normalize_angle
 
 
 def flat_world(boxes=(), objects=()):
@@ -202,6 +202,129 @@ class TestSweepBehavior:
         with pytest.raises(ParameterError):
             small_sensor(vertical_angles=np.radians([5.0, 10.0, 15.0, 20.0]))
         with pytest.raises(ParameterError):
+            small_sensor(vertical_angles=np.array([]))
+        with pytest.raises(ParameterError):
+            small_sensor(vertical_angles=np.radians([-95.0, -10.0, 0.0]))
+        with pytest.raises(ParameterError):
             small_sensor(azimuth_steps=0)
         with pytest.raises(ParameterError):
             small_sensor(noise_sigma=-0.1)
+
+
+def full_slab_sweep(world, ego, cfg, t, rng=None):
+    """Reference sweep: every box is slab-tested against every ray."""
+    n_az = cfg.azimuth_steps
+    azimuths = ego.yaw + np.arange(n_az) * (TAU / n_az)
+    elev = cfg.vertical_angles
+    cos_e, sin_e = np.cos(elev), np.sin(elev)
+    dirs = np.empty((n_az, len(elev), 3))
+    dirs[:, :, 0] = np.cos(azimuths)[:, None] * cos_e[None, :]
+    dirs[:, :, 1] = np.sin(azimuths)[:, None] * cos_e[None, :]
+    dirs[:, :, 2] = sin_e[None, :]
+    origin = np.array([ego.x, ego.y, world.ground_z + cfg.mount_height])
+    with np.errstate(divide="ignore"):
+        t_ground = (world.ground_z - origin[2]) / dirs[:, :, 2]
+    best = np.where((dirs[:, :, 2] < 0.0) & (t_ground > 1e-9), t_ground, np.inf)
+    for box in world.static_boxes:
+        lo = np.array([box.x_min, box.y_min, world.ground_z])
+        hi = np.array([box.x_max, box.y_max, box.z_top])
+        best = np.minimum(best, _box_enter_t(origin, dirs, lo, hi))
+    for obj in world.dynamic_objects:
+        pose = obj.pose_at(t)
+        c, s = math.cos(-pose.yaw), math.sin(-pose.yaw)
+        local_origin = origin.copy()
+        ox, oy = origin[0] - pose.x, origin[1] - pose.y
+        local_origin[0] = c * ox - s * oy
+        local_origin[1] = s * ox + c * oy
+        local_dirs = dirs.copy()
+        local_dirs[:, :, 0] = c * dirs[:, :, 0] - s * dirs[:, :, 1]
+        local_dirs[:, :, 1] = s * dirs[:, :, 0] + c * dirs[:, :, 1]
+        lo = np.array([-obj.length / 2.0, -obj.width / 2.0, world.ground_z])
+        hi = np.array([obj.length / 2.0, obj.width / 2.0, world.ground_z + obj.height])
+        best = np.minimum(best, _box_enter_t(local_origin, local_dirs, lo, hi))
+    if rng is not None and cfg.noise_sigma > 0.0:
+        noise = rng.normal(0.0, cfg.noise_sigma, best.shape)
+        best = np.where(np.isfinite(best), np.maximum(best + noise, 1e-3), best)
+    ranges = np.where(best <= cfg.max_range, best, np.inf)
+    safe = np.where(np.isfinite(ranges), ranges, 0.0)
+    hits = origin[None, None, :] + safe[:, :, None] * dirs
+    hits[~np.isfinite(ranges)] = np.nan
+    return ranges, hits
+
+
+@st.composite
+def culling_cases(draw):
+    """A sensor, an ego and boxes placed where the azimuth sectors are hard:
+    across the wrap at row 0, straight behind, with a corner on a ray, and
+    with the ego on a face, on a corner or inside a dynamic footprint."""
+    n_az = draw(st.integers(1, 40))
+    x0, y0 = draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))
+    yaw = draw(st.floats(-math.pi, math.pi))
+    row_angle = st.integers(0, n_az - 1).map(lambda i: yaw + i * (TAU / n_az))
+    bearing = st.one_of(st.sampled_from([yaw, yaw + math.pi]), row_angle,
+                        st.floats(-math.pi, math.pi))
+    size = st.floats(0.05, 4.0)
+    sign = st.sampled_from([-1.0, 1.0])
+
+    def toward(a, r):
+        return x0 + r * math.cos(a), y0 + r * math.sin(a)
+
+    boxes = []
+    for _ in range(draw(st.integers(0, 3))):
+        cx, cy = toward(draw(bearing), draw(st.floats(0.3, 20.0)))
+        hx, hy = draw(size), draw(size)
+        boxes.append(Box(cx - hx, cx + hx, cy - hy, cy + hy, draw(st.floats(0.5, 4.0))))
+    if draw(st.booleans()):  # a corner on the horizontal line of one row
+        cx, cy = toward(draw(row_angle), draw(st.floats(0.3, 20.0)))
+        sx, sy = draw(size) * draw(sign), draw(size) * draw(sign)
+        boxes.append(Box(min(cx, cx + sx), max(cx, cx + sx),
+                         min(cy, cy + sy), max(cy, cy + sy), 3.0))
+    objects = []
+    for i in range(draw(st.integers(0, 2))):
+        cx, cy = toward(draw(bearing), draw(st.floats(0.3, 20.0)))
+        pose = Pose(cx, cy, draw(st.floats(-math.pi, math.pi)), 0.0)
+        objects.append(DynamicObject(f"d{i}", 2 * draw(size), 2 * draw(size),
+                                     draw(st.floats(0.5, 3.0)), [pose]))
+
+    where = draw(st.sampled_from(["free", "face", "corner", "inside"]))
+    if where in ("face", "corner") and boxes:
+        b = boxes[0]
+        if where == "face":  # on a face, or on its line beside the box
+            x0 = draw(st.floats(b.x_min - 1.0, b.x_max + 1.0))
+            y0 = draw(st.floats(b.y_min - 1.0, b.y_max + 1.0))
+            if draw(st.booleans()):
+                x0 = draw(st.sampled_from([b.x_min, b.x_max]))
+            else:
+                y0 = draw(st.sampled_from([b.y_min, b.y_max]))
+        else:
+            x0 = draw(st.sampled_from([b.x_min, b.x_max]))
+            y0 = draw(st.sampled_from([b.y_min, b.y_max]))
+    elif where == "inside" and objects:
+        obj = objects[0]
+        p = obj.pose_at(0.0)
+        u = draw(st.floats(-0.5, 0.5)) * obj.length
+        v = draw(st.floats(-0.5, 0.5)) * obj.width
+        x0 = p.x + u * math.cos(p.yaw) - v * math.sin(p.yaw)
+        y0 = p.y + u * math.sin(p.yaw) + v * math.cos(p.yaw)
+
+    cfg = small_sensor(
+        azimuth_steps=n_az,
+        vertical_angles=np.radians(draw(st.sampled_from(
+            [[-20.0, -10.0, -2.0, 5.0], [-90.0, -30.0, 0.0, 30.0, 90.0]]))),
+        noise_sigma=draw(st.sampled_from([0.0, 0.05])))
+    world = flat_world(boxes, objects)
+    return world, Pose(x0, y0, yaw, 0.0), cfg, draw(st.integers(0, 2**32 - 1))
+
+
+class TestBoxCulling:
+    @settings(max_examples=300, deadline=None)
+    @given(culling_cases())
+    # the sector starts exactly on row 0, so its padded first row wraps to the last
+    @example((flat_world([Box(1.0, 3.0, 0.0, 2.0, 3.0)]), Pose(0.0, 0.0, 0.0, 0.0),
+              small_sensor(azimuth_steps=8), 0))
+    def test_matches_full_slab_test(self, case):
+        world, ego, cfg, seed = case
+        sweep = simulate_sweep(world, ego, cfg, 0.0, np.random.default_rng(seed))
+        ranges, hits = full_slab_sweep(world, ego, cfg, 0.0, np.random.default_rng(seed))
+        assert np.array_equal(sweep.ranges, ranges, equal_nan=True)
+        assert np.array_equal(sweep.hit_points, hits, equal_nan=True)
