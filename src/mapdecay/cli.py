@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -50,14 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _decay_override(cfg, args):
-    if not (args.no_decay or args.w_on is not None or args.w_off is not None):
-        return None
-    w_on = args.w_on if args.w_on is not None else cfg.decay.w_on
-    w_off = args.w_off if args.w_off is not None else cfg.decay.w_off
-    return DecayParams(w_on, w_off, enabled=not args.no_decay)
-
-
 def _cmd_build_offline(args) -> int:
     cfg = load_config(args.config)
     offline = build_offline_phase(cfg)
@@ -69,10 +62,12 @@ def _cmd_build_offline(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
+    decay = DecayParams(cfg.decay.w_on if args.w_on is None else args.w_on,
+                        cfg.decay.w_off if args.w_off is None else args.w_off,
+                        enabled=cfg.decay.enabled and not args.no_decay)
+    cfg = dataclasses.replace(cfg, decay=decay)
     offline = read_map(args.offline) if args.offline else None
-    run_scenario(cfg, offline=offline,
-                 decay_override=_decay_override(cfg, args),
-                 output_dir=args.output)
+    run_scenario(cfg, offline=offline, output_dir=args.output)
     return 0
 
 

@@ -29,8 +29,8 @@ from .world import Pose, Sweep
 
 @dataclass(frozen=True)
 class CleanParams:
-    occ_threshold: float = 0.5
-    min_component_cells: int = 6
+    occ_threshold: float
+    min_component_cells: int
 
     def __post_init__(self) -> None:
         if not (0.0 < self.occ_threshold < 1.0):
@@ -50,7 +50,7 @@ def build_offline(sweeps: Iterable[Sweep], grid: GridMap, ground_z: float,
         apply_instant(grid, build_instant_map(sweep, grid, ground_z, thresholds))
 
 
-def clean_offline(grid: GridMap, params: CleanParams = CleanParams()) -> GridMap:
+def clean_offline(grid: GridMap, params: CleanParams) -> GridMap:
     """Remove small occupied components (idempotent, returns a new map)."""
     out = grid.copy()
     occ = out.values > logodds_from_prob(params.occ_threshold)
@@ -107,7 +107,7 @@ def _unseen_window(offline: GridMap, origin: tuple[float, float], cells: int) ->
     return window
 
 
-def online_init(offline: GridMap, ego: Pose, window_size: float = 150.0) -> OnlineMap:
+def online_init(offline: GridMap, ego: Pose, window_size: float) -> OnlineMap:
     """Window centered on the ego, every cell copied from the offline map."""
     if not offline.contains_point(ego.x, ego.y):
         raise ScenarioError("ego pose lies outside the offline map extent")
@@ -130,7 +130,7 @@ def recenter(online: OnlineMap, offline: GridMap, ego: Pose) -> None:
 
 def online_step(online: OnlineMap, offline: GridMap, sweep: Sweep,
                 decay: DecayParams, ground_z: float,
-                thresholds: ObstacleThresholds = ObstacleThresholds()) -> InstantMap:
+                thresholds: ObstacleThresholds) -> InstantMap:
     """One 20 Hz-style cycle: recenter, decay once, then integrate the sweep.
 
     Decay runs before the occupancy update, so a cell both decayed and hit in

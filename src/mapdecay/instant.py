@@ -30,8 +30,8 @@ KIND_OCCUPIED = 2
 @dataclass(frozen=True)
 class ObstacleThresholds:
     """Binary height-window classifier for obstacle returns."""
-    min_height: float = 0.30
-    max_height: float = 4.0
+    min_height: float
+    max_height: float
 
     def __post_init__(self) -> None:
         if not self.min_height < self.max_height:

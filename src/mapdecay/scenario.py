@@ -12,15 +12,15 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError
-from .grid import DecayParams, GridMap, logodds_from_prob, write_map
+from .errors import AlignmentError, ConfigError, DomainError
+from .grid import L_MAX, L_MIN, DecayParams, GridMap, logodds_from_prob, write_map
 from .instant import ObstacleThresholds
 from .fusion import (
     CleanParams,
@@ -263,8 +263,8 @@ _ROOT_FIELDS = {
     "window_size": (float, 150.0, _POSITIVE),
     "duration": (float, _REQUIRED, _POSITIVE),
     "tick_rate": (float, 20.0, _POSITIVE),
-    # 0 means "same as tick_rate"
-    "offline_tick_rate": (float, 0.0, (lambda v: v >= 0.0, "must be positive")),
+    "offline_tick_rate": (float, 0.0,
+                          (lambda v: v >= 0.0, "must be nonnegative (0 means tick_rate)")),
     "render_stride": (int, 5, _AT_LEAST_1),
     "epsilon_trace": (float, 0.1, _POSITIVE),
     "seed": (int, 0),
@@ -291,18 +291,7 @@ def load_config(path) -> ScenarioConfig:
 # metrics
 
 @dataclass
-class TraceRegion:
-    """Offline-frame cells swept by dynamic footprints and free offline."""
-    rows: np.ndarray
-    cols: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
-@dataclass
 class RunMetrics:
-    trace_cells: TraceRegion
     trace_offline: np.ndarray        # (M,) offline value per trace cell
     trace_values: np.ndarray         # (T, M) online value per tick
     last_observed: np.ndarray        # (M,) last tick each cell got evidence, -1 never
@@ -312,7 +301,7 @@ class RunMetrics:
     static_total: np.ndarray         # (T,) observed cells occupied offline
     static_ok: np.ndarray            # (T,) of those, online prob > 0.9
     epsilon_trace: float
-    outputs: dict = field(default_factory=dict)
+    output_dir: Path
 
     @property
     def trace_dev(self) -> np.ndarray:
@@ -332,7 +321,7 @@ class RunMetrics:
         """Ticks from the last evidence on any trace cell until the region's
         max deviation from offline drops below ``epsilon_trace``; None for an
         empty trace region or a deviation that never drops."""
-        if not len(self.trace_cells):
+        if not self.trace_offline.size:
             return None
         seen = self.last_observed[self.last_observed >= 0]
         start = int(seen.max()) if seen.size else 0
@@ -391,9 +380,10 @@ def _footprint_cells(obj: DynamicObject, t: float, grid: GridMap,
     return rows[inside], cols[inside]
 
 
-def compute_trace_region(cfg: ScenarioConfig, offline: GridMap) -> TraceRegion:
-    """Cells swept by a dynamic footprint in phase 2 that the cleaned offline
-    map knows to be free.
+def compute_trace_region(cfg: ScenarioConfig,
+                         offline: GridMap) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the cells swept by a dynamic footprint in phase 2 that
+    the cleaned offline map knows to be free.
 
     Cells under or next to an object's first and final footprints are
     excluded: final-footprint cells are still legitimately occupied when the
@@ -413,8 +403,7 @@ def compute_trace_region(cfg: ScenarioConfig, offline: GridMap) -> TraceRegion:
     for box in cfg.world.static_boxes:
         c0, c1, r0, r1 = _rect_cells(offline, box.x_min, box.y_min, box.x_max, box.y_max)
         mask[r0:r1, c0:c1] = False
-    rows, cols = np.nonzero(mask)
-    return TraceRegion(rows, cols)
+    return np.nonzero(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +433,7 @@ def build_offline_phase(cfg: ScenarioConfig) -> GridMap:
     """Phase 1: replay the offline trajectory with dynamic objects disabled."""
     world = cfg.world.without_dynamic()
     t0 = cfg.offline_trajectory[0].t
-    rng = np.random.default_rng(cfg.seed) if cfg.sensor.noise_sigma > 0.0 else None
+    rng = np.random.default_rng(cfg.seed)
     times = (t0 + k / cfg.offline_tick_rate for k in range(cfg.n_offline_ticks))
     sweeps = (simulate_sweep(world, ego_pose_at(cfg.offline_trajectory, t), cfg.sensor, t, rng)
               for t in times)
@@ -454,45 +443,48 @@ def build_offline_phase(cfg: ScenarioConfig) -> GridMap:
 
 
 def run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap] = None,
-                 decay_override: Optional[DecayParams] = None,
                  output_dir: Optional[str] = None) -> RunMetrics:
     """Run both phases and write frames, maps, and a metrics CSV.
 
     Deterministic given the config; partial outputs are removed on failure.
-    A prebuilt ``offline`` map must lie on the config's extent and resolution.
+    A prebuilt ``offline`` map must lie on the config's extent and resolution
+    and hold only values in ``[L_MIN, L_MAX]``.
     """
     out = Path(output_dir or cfg.output_dir or "out")
     created: list[Path] = []
     try:
-        return _run_scenario(cfg, offline, decay_override, out, created)
+        return _run_scenario(cfg, offline, out, created)
     except Exception:
         for p in created:
             p.unlink(missing_ok=True)
         raise
 
 
-def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap],
-                  decay_override: Optional[DecayParams], out: Path,
+def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap], out: Path,
                   created: list[Path]) -> RunMetrics:
-    decay = decay_override if decay_override is not None else cfg.decay
     if offline is None:
         offline = build_offline_phase(cfg)
     elif not offline.same_extent(cfg.offline_grid()):
         raise AlignmentError("offline map does not match the config's extent and resolution")
+    else:
+        bad = np.argwhere(~((offline.values >= L_MIN) & (offline.values <= L_MAX)))
+        if len(bad):
+            r, c = bad[0]
+            raise DomainError(f"offline map: {len(bad)} cell(s) not in [{L_MIN}, {L_MAX}], "
+                              f"the first at row {r}, col {c}: {offline.values[r, c]}")
 
     out.mkdir(parents=True, exist_ok=True)
     frames_dir = out / "frames"
     frames_dir.mkdir(exist_ok=True)
-    outputs = {"dir": out}
 
-    region = compute_trace_region(cfg, offline)
-    trace_off = offline.values[region.rows, region.cols].copy()
+    rows, cols = compute_trace_region(cfg, offline)
+    trace_off = offline.values[rows, cols].copy()
 
     ego0 = ego_pose_at(cfg.ego_trajectory, 0.0)
     online = online_init(offline, ego0, cfg.window_size)
-    rng = np.random.default_rng(cfg.seed + 1) if cfg.sensor.noise_sigma > 0.0 else None
+    rng = np.random.default_rng(cfg.seed + 1)
 
-    m = len(region)
+    m = len(rows)
     trace_values = np.empty((cfg.n_ticks, m), dtype=np.float64)
     last_observed = np.full(m, -1, dtype=np.int64)
     observed_cells = np.zeros(cfg.n_ticks, dtype=np.int64)
@@ -507,14 +499,14 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap],
         t = k / cfg.tick_rate
         pose = ego_pose_at(cfg.ego_trajectory, t)
         sweep = simulate_sweep(cfg.world, pose, cfg.sensor, t, rng)
-        inst = online_step(online, offline, sweep, decay, cfg.world.ground_z,
+        inst = online_step(online, offline, sweep, cfg.decay, cfg.world.ground_z,
                            cfg.thresholds)
         grid = online.grid
 
         # trace region cells mapped into the current window
         dc, dr = grid.offset_in(offline)
-        wc = region.cols - dc
-        wr = region.rows - dr
+        wc = cols - dc
+        wr = rows - dr
         inside = grid.contains_cell(wc, wr)
         vals = trace_off.copy()  # out-of-window cells sit at their offline value
         vals[inside] = grid.values[wr[inside], wc[inside]]
@@ -534,18 +526,16 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap],
             frame = frames_dir / f"frame_{k:06d}.ppm"
             render_frame(grid, frame)
             created.append(frame)
-            outputs.setdefault("frames", []).append(frame)
         wall[k] = time.perf_counter() - t_start
 
     for name, grid_out in (("offline.ogm", offline), ("online_final.ogm", online.grid)):
         path = out / name
         write_map(grid_out, path)
         created.append(path)
-        outputs[name.split(".")[0]] = path
 
     csv_path = out / "metrics.csv"
-    metrics = RunMetrics(region, trace_off, trace_values, last_observed, observed_cells,
-                         iou, wall, static_total, static_ok, cfg.epsilon_trace, outputs)
+    metrics = RunMetrics(trace_off, trace_values, last_observed, observed_cells,
+                         iou, wall, static_total, static_ok, cfg.epsilon_trace, out)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tick", "t_sec", "trace_max_dev", "observed_cells", "iou"])
@@ -555,10 +545,9 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap],
                              f"{max_dev[k]:.12g}",
                              int(observed_cells[k]), f"{iou[k]:.12g}"])
     created.append(csv_path)
-    outputs["metrics"] = csv_path
 
     persistence = metrics.trace_persistence
-    print(f"ticks={cfg.n_ticks} trace_cells={m} "
+    print(f"ticks={cfg.n_ticks} trace_region_cells={m} "
           f"trace_persistence={persistence if persistence is not None else 'none'} "
           f"final_iou={metrics.final_iou:.6f} "
           f"total_wall_s={wall.sum():.3f}")

@@ -21,6 +21,7 @@ Criteria covered, in order:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from pathlib import Path
@@ -79,9 +80,8 @@ def run_decay_on(overtake_cfg, offline_map, tmp_path_factory):
 @pytest.fixture(scope="module")
 def run_decay_off(overtake_cfg, offline_map, tmp_path_factory):
     out = tmp_path_factory.mktemp("decay_off")
-    return run_scenario(overtake_cfg, offline=offline_map,
-                        decay_override=DecayParams(10.0, 1.0, enabled=False),
-                        output_dir=str(out))
+    cfg = dataclasses.replace(overtake_cfg, decay=DecayParams(10.0, 1.0, enabled=False))
+    return run_scenario(cfg, offline=offline_map, output_dir=str(out))
 
 
 def test_1_decay_contraction():
@@ -285,10 +285,10 @@ def test_7_pipeline_equivalence(mini_cfg):
 
 def test_8_determinism_and_formats(overtake_cfg, offline_map, run_decay_on,
                                    tmp_path):
-    first = Path(run_decay_on.outputs["dir"])
+    first = run_decay_on.output_dir
     rerun = run_scenario(overtake_cfg, offline=offline_map,
                          output_dir=str(tmp_path / "again"))
-    second = Path(rerun.outputs["dir"])
+    second = rerun.output_dir
     for name in ("online_final.ogm", "offline.ogm", "metrics.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
     frames_a = sorted((first / "frames").glob("*.ppm"))

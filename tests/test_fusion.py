@@ -114,7 +114,7 @@ class TestOnlineWindow:
 
     def test_ego_outside_offline_rejected(self):
         with pytest.raises(ScenarioError):
-            online_init(self._offline(), Pose(500.0, 0, 0, 0))
+            online_init(self._offline(), Pose(500.0, 0, 0, 0), 20.0)
 
     def test_recenter_preserves_staying_cells(self):
         off = self._offline()

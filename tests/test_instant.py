@@ -95,10 +95,10 @@ class TestObstacleMask:
         assert np.argmax(mask) == 2
 
     def test_no_returns(self):
-        mask = self._mask([float("nan")] * 4, 0.0, ObstacleThresholds())
+        mask = self._mask([float("nan")] * 4, 0.0, ObstacleThresholds(0.3, 4.0))
         assert not mask.any()
         # a beam without a return is never an obstacle, whatever its height
-        mask = self._mask([2.0, 2.0], 0.0, ObstacleThresholds(), returned=[False, True])
+        mask = self._mask([2.0, 2.0], 0.0, ObstacleThresholds(0.3, 4.0), returned=[False, True])
         assert mask.tolist() == [False, True]
 
     def test_ground_offset(self):
@@ -118,7 +118,7 @@ class _Scene:
 
     def instant(self, res=0.25):
         return build_instant_map(self.sweep, GridMap.blank(res, -25.0, -25.0, 200, 200),
-                                 0.0, ObstacleThresholds())
+                                 0.0, ObstacleThresholds(0.3, 4.0))
 
 
 class TestBuildInstantMap:
@@ -152,7 +152,7 @@ class TestBuildInstantMap:
         scene = _Scene()
         with pytest.raises(AlignmentError):
             build_instant_map(scene.sweep, GridMap.blank(0.25, 100.0, 100.0, 10, 10), 0.0,
-                              ObstacleThresholds())
+                              ObstacleThresholds(0.3, 4.0))
 
 
 class TestApplyInstant:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import json
 import re
 
@@ -13,6 +14,7 @@ import pytest
 from mapdecay import (
     ConfigError,
     DecayParams,
+    DomainError,
     GridMap,
     config_from_dict,
     load_config,
@@ -93,9 +95,11 @@ class TestConfigValidation:
          "ego_trajectory[1]"),  # ends outside the +-24 m extent
         ("sensor", "beam_count", 0, "sensor.beam_count"),
         ("sensor", "beam_count", -3, "sensor.beam_count"),
+        (None, "offline_tick_rate", -1.0,
+         "offline_tick_rate: must be nonnegative (0 means tick_rate)"),
     ], ids=["bounds", "extent", "vertical_angles", "nan", "inf", "huge_int",
             "tick_overflow", "partial_cell", "offline_tick_overflow", "knot_outside_extent",
-            "no_beams", "negative_beams"])
+            "no_beams", "negative_beams", "negative_offline_tick_rate"])
     def test_malformed_numbers_rejected(self, mini_dict, tmp_path, capsys,
                                         section, key, value, path):
         (mini_dict[section] if section else mini_dict)[key] = value
@@ -212,7 +216,7 @@ class TestRunScenario:
 
     def test_trace_decays_within_run(self, run):
         _, _, metrics = run
-        assert len(metrics.trace_cells) > 50
+        assert metrics.trace_offline.size > 50
         assert metrics.trace_persistence is not None
         # roughly the closed-form step count for a pulled-to-clamp cell
         assert 20 <= metrics.trace_persistence <= 60
@@ -226,8 +230,9 @@ class TestRunScenario:
 
     def test_decay_off_keeps_traces(self, run, tmp_path):
         cfg, _, metrics_on = run
-        metrics_off = run_scenario(cfg, decay_override=DecayParams(10, 1, enabled=False),
-                                   output_dir=str(tmp_path / "off"))
+        metrics_off = run_scenario(
+            dataclasses.replace(cfg, decay=DecayParams(10, 1, enabled=False)),
+            output_dir=str(tmp_path / "off"))
         assert metrics_off.trace_max_dev[-1] > 1.0
         assert metrics_off.trace_max_dev[-1] > metrics_on.trace_max_dev[-1]
 
@@ -235,7 +240,7 @@ class TestRunScenario:
         mini_dict["world"]["dynamic_objects"] = []
         mini_dict["duration"] = 0.5
         metrics = run_scenario(config_from_dict(mini_dict), output_dir=str(tmp_path))
-        assert len(metrics.trace_cells) == 0
+        assert metrics.trace_offline.size == 0
         assert metrics.trace_persistence is None
         with open(tmp_path / "metrics.csv") as fh:
             rows = list(csv.reader(fh))[1:]
@@ -243,13 +248,13 @@ class TestRunScenario:
 
     def test_trace_region_excludes_walls_and_endpoints(self, run):
         cfg, _, metrics = run
-        offline = read_map(metrics.outputs["offline"])
-        region = compute_trace_region(cfg, offline)
-        xs = offline.origin_x + (region.cols + 0.5) * offline.resolution
-        ys = offline.origin_y + (region.rows + 0.5) * offline.resolution
+        offline = read_map(metrics.output_dir / "offline.ogm")
+        rows, cols = compute_trace_region(cfg, offline)
+        xs = offline.origin_x + (cols + 0.5) * offline.resolution
+        ys = offline.origin_y + (rows + 0.5) * offline.resolution
         assert (ys < 6.0).all()          # never inside the wall band
         assert (xs < 3.0 - 0.6).all()    # parked footprint excluded
-        assert offline.values[region.rows, region.cols].max() < 0.0
+        assert offline.values[rows, cols].max() < 0.0
 
 
 class TestCli:
@@ -311,6 +316,42 @@ class TestCli:
         assert main(["run", str(cfg), "--offline", str(off), "--output", str(out)]) == 1
         assert "extent and resolution" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e6])
+    def test_run_rejects_offline_with_bad_values(self, run, mini_dict, tmp_path, capsys,
+                                                 value):
+        cfg, mini_out, _ = run
+        offline = read_map(mini_out / "offline.ogm")
+        offline.values[169, 120] = value  # window cell (99, 50)
+        off = tmp_path / "bad.ogm"
+        write_map(offline, off)
+        out = tmp_path / "out"
+        with pytest.raises(DomainError, match=r"1 cell\(s\) not in .* row 169, col 120"):
+            run_scenario(cfg, offline=offline, output_dir=str(out))
+        assert not out.exists()
+        cfg_path = self._write_cfg(mini_dict, tmp_path)
+        assert main(["run", str(cfg_path), "--offline", str(off), "--output", str(out)]) == 1
+        assert "error: offline map: 1 cell(s)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("enabled, flags, decay", [
+        (True, ["--w-on", "5", "--w-off", "2"], DecayParams(5.0, 2.0)),
+        (True, ["--no-decay"], DecayParams(10.0, 1.0, enabled=False)),
+        (False, ["--w-on", "5"], DecayParams(5.0, 1.0, enabled=False)),
+    ], ids=["weights", "no_decay", "weights_keep_disabled"])
+    def test_decay_flags_match_replaced_config(self, run, mini_dict, tmp_path,
+                                               enabled, flags, decay):
+        _, mini_out, _ = run
+        mini_dict["decay"]["enabled"] = enabled
+        cfg_path = self._write_cfg(mini_dict, tmp_path)
+        off = mini_out / "offline.ogm"
+        cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
+        assert main(["run", str(cfg_path), "--offline", str(off),
+                     "--output", str(cli_out), *flags]) == 0
+        cfg = dataclasses.replace(config_from_dict(mini_dict), decay=decay)
+        run_scenario(cfg, offline=read_map(off), output_dir=str(lib_out))
+        for name in ("online_final.ogm", "metrics.csv"):
+            assert (cli_out / name).read_bytes() == (lib_out / name).read_bytes(), name
 
     def test_no_decay_flag_changes_result(self, mini_dict, tmp_path, capsys):
         cfg = self._write_cfg(mini_dict, tmp_path)
