@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import MapDecayError
-from .grid import DecayParams, read_map, write_map
+from .grid import DecayParams, check_values, read_map, write_map
 from .scenario import build_offline_phase, load_config, render_frame, run_scenario
 
 
@@ -72,7 +72,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    render_frame(read_map(args.map), args.output)
+    render_frame(check_values(read_map(args.map), args.map), args.output)
     print(f"wrote {args.output}")
     return 0
 

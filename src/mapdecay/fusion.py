@@ -69,12 +69,12 @@ class OnlineMap:
     grid: GridMap
 
 
-def _snapped_origin(offline: GridMap, ego: Pose, window_cells: int) -> tuple[float, float]:
+def _snapped_cell(offline: GridMap, ego: Pose, window_cells: int) -> tuple[int, int]:
+    """(col, row) in ``offline`` of cell (0, 0) of the window centered on the ego."""
     res = offline.resolution
     half = window_cells * res / 2.0
-    col0 = round((ego.x - half - offline.origin_x) / res)
-    row0 = round((ego.y - half - offline.origin_y) / res)
-    return offline.origin_x + col0 * res, offline.origin_y + row0 * res
+    return (round((ego.x - half - offline.origin_x) / res),
+            round((ego.y - half - offline.origin_y) / res))
 
 
 def _paste(dst: GridMap, src: GridMap) -> None:
@@ -99,9 +99,11 @@ def offline_window(offline: GridMap, grid: GridMap) -> GridMap:
     return window
 
 
-def _unseen_window(offline: GridMap, origin: tuple[float, float], cells: int) -> GridMap:
-    """A square window of offline values with every cell unobserved."""
-    window = GridMap.blank(offline.resolution, *origin, cells, cells)
+def _unseen_window(offline: GridMap, cell: tuple[int, int], cells: int) -> GridMap:
+    """An unobserved square of offline values from ``offline``'s (col, row) ``cell``."""
+    res = offline.resolution
+    window = GridMap.blank(res, offline.origin_x + cell[0] * res,
+                           offline.origin_y + cell[1] * res, cells, cells)
     _paste(window, offline)
     window.observed[:] = False
     return window
@@ -112,20 +114,20 @@ def online_init(offline: GridMap, ego: Pose, window_size: float) -> OnlineMap:
     if not offline.contains_point(ego.x, ego.y):
         raise ScenarioError("ego pose lies outside the offline map extent")
     cells = max(1, round(window_size / offline.resolution))
-    return OnlineMap(_unseen_window(offline, _snapped_origin(offline, ego, cells), cells))
+    return OnlineMap(_unseen_window(offline, _snapped_cell(offline, ego, cells), cells))
 
 
 def recenter(online: OnlineMap, offline: GridMap, ego: Pose) -> None:
     """Move the window onto the ego pose.  Cells that stay inside keep their
     exact values and flags; entering cells are loaded fresh from offline."""
     grid = online.grid
-    origin = _snapped_origin(offline, ego, grid.width)
-    if abs(origin[0] - grid.origin_x) < 1e-12 and abs(origin[1] - grid.origin_y) < 1e-12:
+    cell = _snapped_cell(offline, ego, grid.width)
+    if cell == grid.offset_in(offline):
         return
-    moved = _unseen_window(offline, origin, grid.width)
+    moved = _unseen_window(offline, cell, grid.width)
     _paste(moved, grid)
     grid.values, grid.observed = moved.values, moved.observed
-    grid.origin_x, grid.origin_y = origin
+    grid.origin_x, grid.origin_y = moved.origin_x, moved.origin_y
 
 
 def online_step(online: OnlineMap, offline: GridMap, sweep: Sweep,

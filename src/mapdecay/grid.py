@@ -2,16 +2,14 @@
 
 Cells store occupancy as log-odds ``l = ln(p / (1 - p))``.  Evidence combines
 by addition (Bayes filter in log space), values are clamped to
-``[L_MIN, L_MAX]`` on every store, and the decay rule is a weighted average
-that pulls an online cell toward its offline counterpart:
+``[L_MIN, L_MAX]`` on every store, and the decay rule is the paper's weighted
+average, which pulls an online cell toward its offline counterpart:
 
     decayed = (on * w_on + off * w_off) / (w_on + w_off)
+            = off + (on - off) * a,   a = w_on / (w_on + w_off)
 
-The average operates on the stored log-odds values, not on probabilities.
-Each step shrinks the deviation from ``off`` by ``a = w_on / (w_on + w_off)``.
-The closed form ``off + (on - off) * a**k`` (:func:`decay_cell_pow`) is the
-test oracle for ``k`` steps; it matches them only to rounding, so maps are
-always decayed one step at a time.
+The average operates on the stored log-odds values, not on probabilities, in
+the second, deviation form: a cell at its offline value stays exactly there.
 """
 
 from __future__ import annotations
@@ -86,22 +84,17 @@ class DecayParams:
 
 
 def decay_cell(on, off, params: DecayParams):
-    """One decay step: weighted average of the online and offline values.
-
-    Works on floats and elementwise on arrays alike.  The result always lies
-    between ``on`` and ``off`` (inclusive) and the observed flag of the cell
-    is not touched by this function.
+    """One decay step, ``off + (on - off) * retention``: the weighted average of
+    the online and offline values, elementwise on arrays.  ``decay_cell(v, v, p)``
+    is exactly ``v``; for values in ``[L_MIN, L_MAX]`` and ``retention < 1`` the
+    result lies between ``on`` and ``off``.  Observed flags are not touched.
     """
-    return (on * params.w_on + off * params.w_off) / (params.w_on + params.w_off)
+    return off + (on - off) * params.retention
 
 
 def decay_cell_pow(on: float, off: float, params: DecayParams, k: int) -> float:
-    """Closed form of ``k`` iterated :func:`decay_cell` steps.
-
-    The specification of the decay's contraction and half-life.  It matches
-    the iterated rule only to rounding, so it is a test oracle, not a
-    substitute for decaying the map every tick.
-    """
+    """Closed form of ``k`` iterated :func:`decay_cell` steps, their test
+    oracle: bit for bit at ``k = 1``, only to rounding for larger ``k``."""
     if k < 0:
         raise ParameterError(f"step count must be nonnegative, got {k}")
     if k == 0:
@@ -194,14 +187,21 @@ def apply_decay(grid: GridMap, offline: GridMap, params: DecayParams) -> None:
     """Decay every cell of ``grid`` toward the corresponding ``offline`` cell.
 
     A pure per-cell operation: results are independent of traversal order.
-    Observed flags are left untouched.  With ``params.enabled`` false this is
-    a no-op.
+    Observed flags are left untouched, and ``params.enabled`` is not read.
     """
     if not grid.same_extent(offline):
         raise AlignmentError("online and offline grids must share extent and resolution")
-    if not params.enabled:
-        return
     grid.values[:] = decay_cell(grid.values, offline.values, params)
+
+
+def check_values(grid: GridMap, name: str) -> GridMap:
+    """``grid`` if every value lies in ``[L_MIN, L_MAX]``, else a DomainError."""
+    bad = np.argwhere(~((grid.values >= L_MIN) & (grid.values <= L_MAX)))
+    if len(bad):
+        r, c = bad[0]
+        raise DomainError(f"{name}: {len(bad)} cell(s) not in [{L_MIN}, {L_MAX}], "
+                          f"the first at row {r}, col {c}: {grid.values[r, c]}")
+    return grid
 
 
 def write_map(grid: GridMap, path) -> None:

@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, DomainError
-from .grid import L_MAX, L_MIN, DecayParams, GridMap, logodds_from_prob, write_map
+from .errors import AlignmentError, ConfigError
+from .grid import DecayParams, GridMap, check_values, logodds_from_prob, write_map
 from .instant import ObstacleThresholds
 from .fusion import (
     CleanParams,
@@ -282,7 +282,7 @@ def load_config(path) -> ScenarioConfig:
             raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
     return config_from_dict(raw)
 
@@ -467,11 +467,7 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap], out: Path,
     elif not offline.same_extent(cfg.offline_grid()):
         raise AlignmentError("offline map does not match the config's extent and resolution")
     else:
-        bad = np.argwhere(~((offline.values >= L_MIN) & (offline.values <= L_MAX)))
-        if len(bad):
-            r, c = bad[0]
-            raise DomainError(f"offline map: {len(bad)} cell(s) not in [{L_MIN}, {L_MAX}], "
-                              f"the first at row {r}, col {c}: {offline.values[r, c]}")
+        check_values(offline, "offline map")
 
     out.mkdir(parents=True, exist_ok=True)
     frames_dir = out / "frames"

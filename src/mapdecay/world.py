@@ -237,6 +237,8 @@ def simulate_sweep(world: World, ego: Pose, cfg: SensorConfig, t: float,
     """
     if not world.bounds.contains(ego.x, ego.y):
         raise ScenarioError(f"ego pose ({ego.x}, {ego.y}) is outside the world bounds")
+    if cfg.noise_sigma > 0.0 and rng is None:
+        raise ParameterError("noise_sigma > 0 needs a random generator")
 
     n_az = cfg.azimuth_steps
     azimuths = ego.yaw + np.arange(n_az) * (TAU / n_az)
@@ -283,7 +285,7 @@ def simulate_sweep(world: World, ego: Pose, cfg: SensorConfig, t: float,
             best[rows] = np.minimum(best[rows],
                                     _box_enter_t(local_origin, local_dirs, lo, hi))
 
-    if rng is not None and cfg.noise_sigma > 0.0:
+    if cfg.noise_sigma > 0.0:
         noise = rng.normal(0.0, cfg.noise_sigma, best.shape)
         best = np.where(np.isfinite(best), np.maximum(best + noise, 1e-3), best)
 

@@ -248,6 +248,21 @@ class TestOnlineStep:
         assert g.values[r, c] == pytest.approx(expect, rel=1e-12)
         assert not g.observed[r, c]
 
+    def test_cells_without_evidence_stay_exactly_at_the_prior(self, mini_cfg):
+        offline = build_offline_phase(mini_cfg)
+        online = online_init(offline, Pose(0, 0, 0, 0), window_size=20.0)
+        sweep = simulate_sweep(mini_cfg.world.without_dynamic(), Pose(0, 0, 0, 0),
+                               mini_cfg.sensor, 0.0)
+        touched = np.zeros(online.grid.shape, dtype=bool)
+        for _ in range(60):
+            inst = online_step(online, offline, sweep, DecayParams(10.0, 1.0), 0.0,
+                               mini_cfg.thresholds)
+            touched |= inst.kind != 0
+        g = online.grid
+        assert (~touched).sum() > 0
+        np.testing.assert_array_equal(g.values[~touched],
+                                      offline_window(offline, g).values[~touched])
+
     def test_disabled_decay_keeps_untouched_cells_bit_identical(self, mini_cfg):
         offline = build_offline_phase(mini_cfg)
         online = online_init(offline, Pose(0, 0, 0, 0), window_size=20.0)

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from mapdecay import (
     L_MAX,
@@ -104,6 +104,19 @@ class TestDecayCell:
             v = decay_cell(v, off, p)
         assert decay_cell_pow(on, off, p, k) == pytest.approx(v, rel=1e-12, abs=1e-12)
 
+    @given(st.floats(0.0, 1e6), st.floats(0.0, 1e6), st.floats(L_MIN, L_MAX),
+           st.floats(L_MIN, L_MAX))
+    def test_one_step_is_the_closed_form_term(self, w_on, w_off, on, off):
+        # the prior is a fixed point, one step is the k = 1 term bit for bit,
+        # and the step never overshoots the prior
+        assume(w_on + w_off > 0.0)
+        p = DecayParams(w_on, w_off)
+        out = decay_cell(on, off, p)
+        assert decay_cell(on, on, p) == on and decay_cell(off, off, p) == off
+        assert out == decay_cell_pow(on, off, p, 1)
+        if p.retention < 1.0:
+            assert min(on, off) <= out <= max(on, off)
+
     def test_pow_zero_steps_is_identity(self):
         p = DecayParams(10.0, 1.0)
         assert decay_cell_pow(3.7, -1.2, p, 0) == 3.7
@@ -132,12 +145,6 @@ class TestApplyDecay:
                 expect[r, c] = decay_cell(on.values[r, c], off.values[r, c], p)
         apply_decay(on, off, p)
         np.testing.assert_allclose(on.values, expect, rtol=1e-15)
-
-    def test_disabled_is_identity(self):
-        on, off = self._pair()
-        before = on.values.copy()
-        apply_decay(on, off, DecayParams(10.0, 1.0, enabled=False))
-        np.testing.assert_array_equal(on.values, before)
 
     def test_observed_flags_untouched(self):
         on, off = self._pair()

@@ -372,6 +372,22 @@ class TestCli:
         assert main(["render", str(off), str(img)]) == 0
         assert img.read_bytes().startswith(b"P6\n240 240\n255\n")
 
+    def test_render_rejects_bad_values(self, tmp_path, capsys):
+        # NaN would render black, -1e6 overflows the gray ramp's exp
+        path = tmp_path / "bad.ogm"
+        write_map(GridMap(0.2, 0.0, 0.0, np.array([[np.nan, 0.0], [-1e6, 1e6]])), path)
+        assert main(["render", str(path), str(tmp_path / "bad.ppm")]) == 1
+        assert f"error: {path}: 3 cell(s) not in" in capsys.readouterr().err
+        assert not (tmp_path / "bad.ppm").exists()
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200_000],
+                             ids=["not_utf8", "nested_too_deep"])
+    def test_unreadable_config_exits_one(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+        assert f"error: {path}: malformed JSON" in capsys.readouterr().err
+
     def test_config_error_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"duration": 1.0}))

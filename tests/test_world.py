@@ -179,6 +179,10 @@ class TestSweepBehavior:
         np.testing.assert_array_equal(a.ranges, b.ranges)
         assert not np.array_equal(a.ranges, c.ranges)
 
+    def test_noise_without_a_generator_rejected(self):
+        with pytest.raises(ParameterError, match="noise_sigma"):
+            simulate_sweep(flat_world(), Pose(0, 0, 0, 0), small_sensor(noise_sigma=0.05), 0.0)
+
     def test_hit_points_consistent_with_ranges(self):
         sweep = simulate_sweep(flat_world([Box(3, 4, -1, 1, 2)]),
                                Pose(1.0, -2.0, 0.7, 0.0), small_sensor(), 0.0)
