@@ -75,8 +75,8 @@ class DecayParams:
             raise ParameterError("decay weights must be finite")
         if self.w_on < 0.0 or self.w_off < 0.0:
             raise ParameterError("decay weights must be nonnegative")
-        if self.w_on + self.w_off <= 0.0:
-            raise ParameterError("w_on + w_off must be positive")
+        if not 0.0 < self.w_on + self.w_off < math.inf:
+            raise ParameterError("w_on + w_off must be positive and finite")
 
     @property
     def retention(self) -> float:

@@ -42,6 +42,7 @@ from .world import (
 )
 
 UNOBSERVED_RGB = (0, 0, 255)
+_PALETTE = np.array([(g, g, g) for g in range(256)] + [UNOBSERVED_RGB], dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +414,13 @@ def render_frame(grid: GridMap, path) -> None:
     """Write a binary PPM (P6), one pixel per cell, image north = world +y.
 
     Unobserved cells are blue; observed cells are a gray ramp from white
-    (free) to black (occupied).
+    (free) to black (occupied), evaluated on observed cells only: their values
+    must be finite and in [L_MIN, L_MAX] (``mapdecay render`` runs ``check_values``).
     """
-    prob = 1.0 / (1.0 + np.exp(-grid.values))
-    gray = np.rint(255.0 * (1.0 - prob)).astype(np.uint8)
-    rgb = np.empty((grid.height, grid.width, 3), dtype=np.uint8)
-    rgb[:, :, 0] = rgb[:, :, 1] = rgb[:, :, 2] = gray
-    rgb[~grid.observed] = UNOBSERVED_RGB
-    rgb = rgb[::-1]  # row 0 at the max-y edge
+    gray = np.rint(255.0 * (1.0 - 1.0 / (1.0 + np.exp(-grid.values[grid.observed]))))
+    code = np.full(grid.values.shape, 256, dtype=np.uint16)  # _PALETTE[256] is blue
+    code[grid.observed] = gray
+    rgb = np.take(_PALETTE, code[::-1], axis=0)  # row 0 at the max-y edge
     with open(path, "wb") as fh:
         fh.write(f"P6\n{grid.width} {grid.height}\n255\n".encode("ascii"))
         fh.write(rgb.tobytes())

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, reject, strategies as st
 
 from mapdecay import (
     L_MAX,
@@ -77,6 +78,12 @@ class TestDecayCell:
             with pytest.raises(ParameterError):
                 DecayParams(10.0, bad)
 
+    def test_weight_sum_must_be_finite(self):
+        # each weight is finite but their sum is not, so retention would be
+        # 1e308 / inf = 0 and every step would snap a cell to its prior
+        with pytest.raises(ParameterError, match=r"w_on \+ w_off"):
+            DecayParams(1e308, 1e308)
+
     def test_weighted_average(self):
         p = DecayParams(10.0, 1.0)
         assert decay_cell(10.0, 0.0, p) == pytest.approx(100.0 / 11.0, rel=1e-15)
@@ -104,13 +111,17 @@ class TestDecayCell:
             v = decay_cell(v, off, p)
         assert decay_cell_pow(on, off, p, k) == pytest.approx(v, rel=1e-12, abs=1e-12)
 
-    @given(st.floats(0.0, 1e6), st.floats(0.0, 1e6), st.floats(L_MIN, L_MAX),
-           st.floats(L_MIN, L_MAX))
+    @given(st.floats(0.0, sys.float_info.max), st.floats(0.0, sys.float_info.max),
+           st.floats(L_MIN, L_MAX), st.floats(L_MIN, L_MAX))
     def test_one_step_is_the_closed_form_term(self, w_on, w_off, on, off):
-        # the prior is a fixed point, one step is the k = 1 term bit for bit,
-        # and the step never overshoots the prior
-        assume(w_on + w_off > 0.0)
-        p = DecayParams(w_on, w_off)
+        # every accepted pair of weights gives a retention in [0, 1]; the prior
+        # is a fixed point, one step is the k = 1 term bit for bit, and the
+        # step never overshoots the prior
+        try:
+            p = DecayParams(w_on, w_off)
+        except ParameterError:
+            reject()
+        assert 0.0 <= p.retention <= 1.0
         out = decay_cell(on, off, p)
         assert decay_cell(on, on, p) == on and decay_cell(off, off, p) == off
         assert out == decay_cell_pow(on, off, p, 1)

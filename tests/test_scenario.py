@@ -5,17 +5,26 @@ import csv
 import dataclasses
 import json
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import conftest
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from mapdecay import (
     ConfigError,
     DecayParams,
     DomainError,
     GridMap,
+    L_FREE_SET,
+    L_MAX,
+    L_MIN,
+    L_OCC,
     config_from_dict,
     load_config,
     occupancy_iou,
@@ -118,6 +127,7 @@ class TestConfigValidation:
         ("sensor", {"vertical_angles_deg": [-20.0, -10.0, 0.0]}),  # beam_count is 8
         ("sensor", {"vertical_angles_deg": [], "beam_count": 0}),
         ("sensor", {"vertical_min_deg": -120.0}),  # the lowest beam points backwards
+        ("decay", {"w_on": 1e308, "w_off": 1e308}),  # each finite, the sum is not
     ])
     def test_invalid_section_values_rejected(self, mini_dict, section, values):
         mini_dict[section].update(values)
@@ -165,7 +175,63 @@ class TestMetrics:
         assert occupancy_iou(a.values, b.values, mask) == 1.0
 
 
+def dense_render(grid, path):
+    """Reference render: the gray ramp over every cell, then blue stored into
+    the unobserved pixels."""
+    prob = 1.0 / (1.0 + np.exp(-grid.values))
+    gray = np.rint(255.0 * (1.0 - prob)).astype(np.uint8)
+    rgb = np.empty((grid.height, grid.width, 3), dtype=np.uint8)
+    rgb[:, :, 0] = rgb[:, :, 1] = rgb[:, :, 2] = gray
+    rgb[~grid.observed] = (0, 0, 255)
+    rgb = rgb[::-1]  # row 0 at the max-y edge
+    with open(path, "wb") as fh:
+        fh.write(f"P6\n{grid.width} {grid.height}\n255\n".encode("ascii"))
+        fh.write(rgb.tobytes())
+
+
+# L_FREE_SET and 0.0 land exactly on the ramp's rounding ties (229.5, 127.5)
+_RAMP_EDGES = [L_FREE_SET, 0.0, L_MIN, L_MAX, L_OCC]
+
+
+@st.composite
+def _frames(draw):
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=9))
+    values = draw(hnp.arrays(np.float64, shape, elements=st.floats(L_MIN, L_MAX)
+                             | st.sampled_from(_RAMP_EDGES)))
+    observed = draw(st.sampled_from([np.zeros(shape, bool), np.ones(shape, bool)])
+                    | hnp.arrays(np.bool_, shape))
+    return values, observed
+
+
 class TestRender:
+    @given(_frames())
+    @example((np.array([_RAMP_EDGES]), np.ones((1, 5), bool)))
+    @example((np.array([_RAMP_EDGES]).T, np.array([[1], [0], [1], [1], [0]], bool)))
+    @example((np.full((2, 3), L_FREE_SET), np.zeros((2, 3), bool)))
+    def test_matches_dense_render(self, frame):
+        values, observed = frame
+        g = GridMap(0.5, 0.0, 0.0, values, observed)
+        with tempfile.TemporaryDirectory() as d:
+            render_frame(g, Path(d) / "a.ppm")
+            dense_render(g, Path(d) / "b.ppm")
+            assert (Path(d) / "a.ppm").read_bytes() == (Path(d) / "b.ppm").read_bytes()
+
+    def test_unobserved_values_are_never_evaluated(self, tmp_path):
+        # the ramp would overflow exp on -1e6 and cast NaN; unobserved cells
+        # only take the blue palette entry, so neither reaches it
+        g = GridMap.blank(0.5, 0.0, 0.0, 2, 2)
+        g.values[:] = [[-1e6, np.nan], [L_MIN, L_MAX]]
+        g.observed[1, :] = True
+        path = tmp_path / "f.ppm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            render_frame(g, path)
+        pixels = np.frombuffer(path.read_bytes()[len(b"P6\n2 2\n255\n"):], dtype=np.uint8)
+        pixels = pixels.reshape(2, 2, 3)
+        # image row 1 is grid row 0, the unobserved one
+        assert (pixels[1] == [0, 0, 255]).all()
+        assert (pixels[0] == [[255, 255, 255], [0, 0, 0]]).all()
+
     def test_pixel_values_and_row_order(self, tmp_path):
         g = GridMap.blank(0.5, 0.0, 0.0, 2, 2)
         g.values[0, 0] = -50.0   # certainly free -> white
@@ -373,7 +439,8 @@ class TestCli:
         assert img.read_bytes().startswith(b"P6\n240 240\n255\n")
 
     def test_render_rejects_bad_values(self, tmp_path, capsys):
-        # NaN would render black, -1e6 overflows the gray ramp's exp
+        # values render_frame must not be given: NaN and +-1e6 lie outside
+        # [L_MIN, L_MAX], the gray ramp's domain
         path = tmp_path / "bad.ogm"
         write_map(GridMap(0.2, 0.0, 0.0, np.array([[np.nan, 0.0], [-1e6, 1e6]])), path)
         assert main(["render", str(path), str(tmp_path / "bad.ppm")]) == 1
@@ -407,6 +474,12 @@ class TestCli:
         assert main(["run", str(cfg), "--w-on", "nan",
                      "--output", str(tmp_path / "out")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_overflowing_weight_flags_exit_one(self, mini_dict, tmp_path, capsys):
+        cfg = self._write_cfg(mini_dict, tmp_path)
+        assert main(["run", str(cfg), "--w-on", "1e308", "--w-off", "1e308",
+                     "--output", str(tmp_path / "out")]) == 1
+        assert "error: w_on + w_off" in capsys.readouterr().err
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
