@@ -6,7 +6,6 @@ tick, so evidence left behind by moving objects fades instead of lingering.
 
 from .errors import (
     AlignmentError,
-    BoundsError,
     ConfigError,
     DomainError,
     LogError,
@@ -72,7 +71,7 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentError", "BoundsError", "ConfigError", "DomainError", "LogError",
+    "AlignmentError", "ConfigError", "DomainError", "LogError",
     "MapDecayError", "MapFormatError", "ParameterError", "ScenarioError",
     "L_MAX", "L_MIN", "DecayParams", "GridMap", "apply_decay", "decay_cell",
     "decay_cell_pow", "logodds_from_prob", "prob_from_logodds", "read_map",

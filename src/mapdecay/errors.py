@@ -17,10 +17,6 @@ class AlignmentError(MapDecayError, ValueError):
     """Two grids do not share extent, resolution, or cell alignment."""
 
 
-class BoundsError(MapDecayError, ValueError):
-    """A cell index lies outside the grid it is used to address."""
-
-
 class MapFormatError(MapDecayError, ValueError):
     """A map file cannot be parsed."""
 

@@ -44,9 +44,9 @@ def build_offline(sweeps: Iterable[Sweep], grid: GridMap, ground_z: float,
     """Integrate a logged pass, in time order, into ``grid`` in place."""
     last_t = None
     for sweep in sweeps:
-        if last_t is not None and sweep.t <= last_t:
+        if last_t is not None and sweep.ego_pose.t <= last_t:
             raise LogError("log sweep timestamps must be strictly increasing")
-        last_t = sweep.t
+        last_t = sweep.ego_pose.t
         apply_instant(grid, build_instant_map(sweep, grid, ground_z, thresholds))
 
 

@@ -128,8 +128,10 @@ class GridMap:
             self.observed = np.asarray(self.observed, dtype=bool)
         if self.observed.shape != self.values.shape:
             raise ParameterError("observed mask shape must match values")
-        if self.resolution <= 0.0:
-            raise ParameterError("resolution must be positive")
+        if not 0.0 < self.resolution < math.inf:
+            raise ParameterError(f"resolution must be positive and finite, got {self.resolution!r}")
+        if not (math.isfinite(self.origin_x) and math.isfinite(self.origin_y)):
+            raise ParameterError(f"origin ({self.origin_x!r}, {self.origin_y!r}) must be finite")
 
     @classmethod
     def blank(cls, resolution: float, origin_x: float, origin_y: float,
@@ -178,9 +180,16 @@ class GridMap:
                 and abs(self.origin_y - other.origin_y) <= 1e-9)
 
     def offset_in(self, other: "GridMap") -> tuple[int, int]:
-        """(col, row) of this grid's cell (0, 0) in ``other``, on the same lattice."""
-        return (round((self.origin_x - other.origin_x) / other.resolution),
-                round((self.origin_y - other.origin_y) / other.resolution))
+        """(col, row) of this grid's cell (0, 0) in ``other``.  The one relation
+        between two lattices: an AlignmentError unless they are the same."""
+        cells = ((self.origin_x - other.origin_x) / other.resolution,
+                 (self.origin_y - other.origin_y) / other.resolution)
+        offset = round(cells[0]), round(cells[1])
+        if (abs(self.resolution - other.resolution) > 1e-9
+                or max(abs(cells[0] - offset[0]), abs(cells[1] - offset[1])) > 1e-6):
+            raise AlignmentError(f"grids not on one lattice: {self.resolution!r} m vs "
+                                 f"{other.resolution!r} m, offset {cells} cells")
+        return offset
 
 
 def apply_decay(grid: GridMap, offline: GridMap, params: DecayParams) -> None:

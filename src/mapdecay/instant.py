@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, BoundsError, ParameterError
+from .errors import AlignmentError, ParameterError
 from .grid import GridMap, logodds_from_prob, update_cell
 from .world import Sweep
 
@@ -60,7 +60,7 @@ def _nudged_cells(grid: GridMap, px: np.ndarray, py: np.ndarray, sx: float, sy: 
     return grid.cell_of(px + step * dx / norm, py + step * dy / norm)
 
 
-def _raycast_arrays(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def raycast_cells(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grid-line traversal for a batch of rays in cell-index space.
 
     For each ray the line from start to end is stepped in max(|dx|, |dy|)
@@ -83,18 +83,6 @@ def _raycast_arrays(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, n
     cols = np.rint(starts[ray, 0] + frac * delta[ray, 0]).astype(np.int64)
     rows = np.rint(starts[ray, 1] + frac * delta[ray, 1]).astype(np.int64)
     return ray, cols, rows
-
-
-def raycast_cells(frm: tuple[int, int], to: tuple[int, int],
-                  width: int, height: int) -> list[tuple[int, int]]:
-    """Cells visited on the grid line from ``frm`` to ``to``, inclusive of
-    ``frm`` and exclusive of ``to``.  Both endpoints must be inside the grid.
-    """
-    for col, row in (frm, to):
-        if not (0 <= col < width and 0 <= row < height):
-            raise BoundsError(f"cell ({col}, {row}) outside {width}x{height} grid")
-    _, cols, rows = _raycast_arrays(np.array([frm]), np.array([to]))
-    return list(zip(cols.tolist(), rows.tolist()))
 
 
 @dataclass
@@ -154,7 +142,7 @@ def build_instant_map(sweep: Sweep, grid: GridMap, ground_z: float,
     ends = np.stack(_nudged_cells(grid, end_hits[:, 0], end_hits[:, 1], sx, sy, -1e-6),
                     axis=1)
 
-    _, f_cols, f_rows = _raycast_arrays(starts, ends)
+    _, f_cols, f_rows = raycast_cells(starts, ends)
     # with no obstacle in the scan, the last ground return itself is free
     inc_end = ~any_obs[usable]
     f_cols = np.concatenate([f_cols, ends[inc_end, 0]])

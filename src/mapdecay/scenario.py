@@ -89,6 +89,12 @@ class ScenarioConfig:
                 if not grid.contains_point(knot.x, knot.y):
                     raise ConfigError(f"{name}[{i}]: knot ({knot.x!r}, {knot.y!r}) "
                                       "lies outside extent")
+        # the window is cut from the map, so it can be allocated when the map can
+        side = self.window_size / self.resolution
+        side = max(1, round(side)) if math.isfinite(side) else side
+        if side * side > grid.width * grid.height:
+            raise ConfigError(f"window_size: {side}x{side} cells exceed the extent's "
+                              f"{grid.width}x{grid.height}")
 
     @property
     def n_ticks(self) -> int:
@@ -268,7 +274,7 @@ _ROOT_FIELDS = {
                           (lambda v: v >= 0.0, "must be nonnegative (0 means tick_rate)")),
     "render_stride": (int, 5, _AT_LEAST_1),
     "epsilon_trace": (float, 0.1, _POSITIVE),
-    "seed": (int, 0),
+    "seed": (int, 0, (lambda v: v >= 0, "must be nonnegative")),
     "output_dir": (str, None),
 }
 
@@ -435,7 +441,7 @@ def build_offline_phase(cfg: ScenarioConfig) -> GridMap:
     t0 = cfg.offline_trajectory[0].t
     rng = np.random.default_rng(cfg.seed)
     times = (t0 + k / cfg.offline_tick_rate for k in range(cfg.n_offline_ticks))
-    sweeps = (simulate_sweep(world, ego_pose_at(cfg.offline_trajectory, t), cfg.sensor, t, rng)
+    sweeps = (simulate_sweep(world, ego_pose_at(cfg.offline_trajectory, t), cfg.sensor, rng)
               for t in times)
     grid = cfg.offline_grid()
     build_offline(sweeps, grid, cfg.world.ground_z, cfg.thresholds)
@@ -492,9 +498,8 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap], out: Path,
 
     for k in range(cfg.n_ticks):
         t_start = time.perf_counter()
-        t = k / cfg.tick_rate
-        pose = ego_pose_at(cfg.ego_trajectory, t)
-        sweep = simulate_sweep(cfg.world, pose, cfg.sensor, t, rng)
+        pose = ego_pose_at(cfg.ego_trajectory, k / cfg.tick_rate)
+        sweep = simulate_sweep(cfg.world, pose, cfg.sensor, rng)
         inst = online_step(online, offline, sweep, cfg.decay, cfg.world.ground_z,
                            cfg.thresholds)
         grid = online.grid

@@ -4,8 +4,8 @@ The world is a flat ground plane plus axis-aligned static boxes and moving
 boxes that follow piecewise-linear trajectories.  The sensor revolves a
 vertical array of beams (lowest beam pointing downward) and reports, per ray,
 the first analytic intersection with the ground, a static box, or a dynamic
-object.  Everything is a pure function of (world, pose, time), so sweeps are
-bit-reproducible.
+object.  A sweep is a pure function of (world, pose): the pose carries the
+time at which the dynamic objects are placed, so sweeps are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -60,6 +60,10 @@ class Box:
     y_min: float
     y_max: float
     z_top: float
+
+    def __post_init__(self) -> None:
+        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+            raise ParameterError("a box needs x_min < x_max and y_min < y_max")
 
 
 def interpolate_pose(knots: Sequence[Pose], t: float) -> Pose:
@@ -168,16 +172,10 @@ class SensorConfig:
 
 @dataclass
 class Sweep:
-    """One full revolution: scan i has azimuth ego.yaw + i * TAU / azimuth_steps."""
-    t: float
+    """One revolution at ``ego_pose`` and its time; scan i faces its yaw + i * TAU / n_scans."""
     ego_pose: Pose
-    azimuths: np.ndarray            # (n_scans,)
     ranges: np.ndarray              # (n_scans, n_beams), inf = no return
     hit_points: np.ndarray          # (n_scans, n_beams, 3), NaN = no return
-
-    @property
-    def scan_count(self) -> int:
-        return self.azimuths.shape[0]
 
 
 def _box_enter_t(origin: np.ndarray, dirs: np.ndarray,
@@ -228,12 +226,12 @@ def _sector_rows(origin: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return [slice(first, n_az), slice(0, first + count - n_az)]
 
 
-def simulate_sweep(world: World, ego: Pose, cfg: SensorConfig, t: float,
+def simulate_sweep(world: World, ego: Pose, cfg: SensorConfig,
                    rng: Optional[np.random.Generator] = None) -> Sweep:
-    """Simulate one full revolution at time ``t`` from the ego pose.
+    """Simulate one full revolution from the ego pose at its time ``ego.t``.
 
     Rays start at (ego.x, ego.y, ground_z + mount_height).  Dynamic objects
-    are frozen at their pose for time ``t`` (no intra-sweep motion).
+    are frozen at their pose for time ``ego.t`` (no intra-sweep motion).
     """
     if not world.bounds.contains(ego.x, ego.y):
         raise ScenarioError(f"ego pose ({ego.x}, {ego.y}) is outside the world bounds")
@@ -269,7 +267,7 @@ def simulate_sweep(world: World, ego: Pose, cfg: SensorConfig, t: float,
             best[rows] = np.minimum(best[rows], _box_enter_t(origin, dirs[rows], lo, hi))
 
     for obj in world.dynamic_objects:
-        pose = obj.pose_at(t)
+        pose = obj.pose_at(ego.t)
         c, s = math.cos(-pose.yaw), math.sin(-pose.yaw)
         local_origin = origin.copy()
         ox, oy = origin[0] - pose.x, origin[1] - pose.y
@@ -293,5 +291,5 @@ def simulate_sweep(world: World, ego: Pose, cfg: SensorConfig, t: float,
     safe = np.where(np.isfinite(ranges), ranges, 0.0)
     hits = origin[None, None, :] + safe[:, :, None] * dirs
     hits[~np.isfinite(ranges)] = np.nan
-    return Sweep(t, ego, azimuths, ranges, hits)
+    return Sweep(ego, ranges, hits)
 

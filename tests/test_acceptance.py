@@ -46,6 +46,7 @@ from mapdecay import (
     online_init,
     online_step,
     prob_from_logodds,
+    raycast_cells,
     read_map,
     render_frame,
     run_scenario,
@@ -155,8 +156,6 @@ def test_3_bayes_oracle():
 
 
 def test_4_raycast_oracle():
-    from mapdecay.instant import _raycast_arrays
-
     t0 = time.perf_counter()
     n = 16
     step = 0.01
@@ -167,7 +166,7 @@ def test_4_raycast_oracle():
     fx, fy, tx, ty = pairs.T
     major = np.maximum(np.abs(tx - fx), np.abs(ty - fy))
 
-    ray_idx, cols, rows = _raycast_arrays(pairs[:, :2], pairs[:, 2:])
+    ray_idx, cols, rows = raycast_cells(pairs[:, :2], pairs[:, 2:])
     counts = np.bincount(ray_idx, minlength=len(pairs))
     assert np.array_equal(counts, major)  # one cell per major-axis step
     offsets = np.concatenate([[0], np.cumsum(counts)])
@@ -272,7 +271,7 @@ def test_7_pipeline_equivalence(mini_cfg):
                     g.values.copy(), g.observed.copy())
     disabled = DecayParams(10.0, 1.0, enabled=False)
     for k in range(30):
-        sweep = simulate_sweep(world, ego, mini_cfg.sensor, k / 20.0)
+        sweep = simulate_sweep(world, Pose(0.0, 0.0, 0.0, k / 20.0), mini_cfg.sensor)
         online_step(online, offline, sweep, disabled, 0.0, mini_cfg.thresholds)
         inst = build_instant_map(sweep, plain, 0.0, mini_cfg.thresholds)
         apply_instant(plain, inst)
@@ -339,7 +338,7 @@ def test_9_moving_window_matches_one_fixed_map(mini_dict, lattice):
     disabled = DecayParams(10.0, 1.0, enabled=False)
     for k in range(cfg.n_ticks):
         t = k / cfg.tick_rate
-        sweep = simulate_sweep(cfg.world, ego_pose_at(cfg.ego_trajectory, t), cfg.sensor, t)
+        sweep = simulate_sweep(cfg.world, ego_pose_at(cfg.ego_trajectory, t), cfg.sensor)
         inst = online_step(online, offline, sweep, disabled, 0.0, cfg.thresholds)
         g = online.grid
         dc, dr = g.offset_in(full)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mapdecay import (
     L_FREE_SET,
     L_OCC,
+    AlignmentError,
     CleanParams,
     DecayParams,
     GridMap,
@@ -31,13 +32,12 @@ from mapdecay.scenario import build_offline_phase
 
 
 class TestBuildOffline:
-    def _sweep(self, mini_cfg, pose, t):
-        return simulate_sweep(mini_cfg.world.without_dynamic(), pose,
-                              mini_cfg.sensor, t)
+    def _sweep(self, mini_cfg, pose):
+        return simulate_sweep(mini_cfg.world.without_dynamic(), pose, mini_cfg.sensor)
 
     def test_timestamps_must_increase(self, mini_cfg):
         pose = Pose(0, 0, 0, 0)
-        sweeps = [self._sweep(mini_cfg, pose, 0.0), self._sweep(mini_cfg, pose, 0.0)]
+        sweeps = [self._sweep(mini_cfg, pose), self._sweep(mini_cfg, pose)]
         with pytest.raises(LogError):
             build_offline(sweeps, GridMap.blank(0.2, -24, -24, 240, 240), 0.0,
                           mini_cfg.thresholds)
@@ -152,6 +152,14 @@ class TestOnlineWindow:
         assert (win.values[:, :10] == 0.0).all()
         assert not win.observed[:, :10].any()
 
+    @pytest.mark.parametrize("resolution, shift", [(0.4, 0.0), (0.2, 0.1)],
+                             ids=["coarser", "half_cell_off"])
+    def test_offline_window_on_another_lattice_rejected(self, resolution, shift):
+        off = self._offline()
+        with pytest.raises(AlignmentError, match="one lattice"):
+            offline_window(off, GridMap.blank(resolution, off.origin_x + shift,
+                                              off.origin_y, 50, 50))
+
 
 def _recenter_reference(values, observed, old_origin, new_origin, offline):
     """Cell-by-cell expectation for a window moved between two origins: a
@@ -217,7 +225,7 @@ class TestOnlineStep:
         online = online_init(offline, Pose(0, 0, 0, 0), window_size=20.0)
         decay = DecayParams(10.0, 1.0)
         sweep = simulate_sweep(mini_cfg.world.without_dynamic(), Pose(0, 0, 0, 0),
-                               mini_cfg.sensor, 0.0)
+                               mini_cfg.sensor)
         # seed an occupied-this-tick cell away from its offline value and
         # check the order: decayed first, evidence added after
         inst0 = online_step(online, offline, sweep, DecayParams(10, 1, enabled=False),
@@ -240,7 +248,7 @@ class TestOnlineStep:
         win = offline_window(offline, g)
         g.values[r, c] = win.values[r, c] + 8.0
         sweep = simulate_sweep(mini_cfg.world.without_dynamic(), Pose(0, 0, 0, 0),
-                               mini_cfg.sensor, 0.0)
+                               mini_cfg.sensor)
         decay = DecayParams(10.0, 1.0)
         for k in range(60):
             online_step(online, offline, sweep, decay, 0.0, mini_cfg.thresholds)
@@ -252,7 +260,7 @@ class TestOnlineStep:
         offline = build_offline_phase(mini_cfg)
         online = online_init(offline, Pose(0, 0, 0, 0), window_size=20.0)
         sweep = simulate_sweep(mini_cfg.world.without_dynamic(), Pose(0, 0, 0, 0),
-                               mini_cfg.sensor, 0.0)
+                               mini_cfg.sensor)
         touched = np.zeros(online.grid.shape, dtype=bool)
         for _ in range(60):
             inst = online_step(online, offline, sweep, DecayParams(10.0, 1.0), 0.0,
@@ -269,7 +277,7 @@ class TestOnlineStep:
         g = online.grid
         before = g.values.copy()
         sweep = simulate_sweep(mini_cfg.world.without_dynamic(), Pose(0, 0, 0, 0),
-                               mini_cfg.sensor, 0.0)
+                               mini_cfg.sensor)
         inst = online_step(online, offline, sweep, DecayParams(10, 1, enabled=False),
                            0.0, mini_cfg.thresholds)
         untouched = inst.kind == 0

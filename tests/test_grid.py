@@ -197,6 +197,12 @@ class TestGridMap:
         with pytest.raises(ParameterError):
             GridMap(0.0, 0.0, 0.0, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("lattice", [(math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0),
+                                         (0.2, math.inf, 0.0), (0.2, 0.0, math.nan)])
+    def test_lattice_must_be_finite(self, lattice):
+        with pytest.raises(ParameterError):
+            GridMap(*lattice, np.zeros((2, 2)))
+
 
 class TestMapFormat:
     def _grid(self):

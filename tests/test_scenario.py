@@ -4,7 +4,9 @@ import copy
 import csv
 import dataclasses
 import json
+import math
 import re
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -106,9 +108,17 @@ class TestConfigValidation:
         ("sensor", "beam_count", -3, "sensor.beam_count"),
         (None, "offline_tick_rate", -1.0,
          "offline_tick_rate: must be nonnegative (0 means tick_rate)"),
+        (None, "seed", -1, "seed: must be nonnegative"),
+        (None, "window_size", 1e12, "window_size: 5000000000000x5000000000000 cells exceed "
+         "the extent's 240x240"),
+        (None, "window_size", 1e308, "window_size: infxinf cells"),  # a side no float can hold
+        ("world", "static_boxes",
+         [{"x_min": 8.0, "x_max": -8.0, "y_min": 6.0, "y_max": 6.4, "z_top": 3.0}],
+         "world.static_boxes[0].: a box needs x_min < x_max"),
     ], ids=["bounds", "extent", "vertical_angles", "nan", "inf", "huge_int",
             "tick_overflow", "partial_cell", "offline_tick_overflow", "knot_outside_extent",
-            "no_beams", "negative_beams", "negative_offline_tick_rate"])
+            "no_beams", "negative_beams", "negative_offline_tick_rate", "negative_seed",
+            "huge_window", "window_overflow", "inverted_box"])
     def test_malformed_numbers_rejected(self, mini_dict, tmp_path, capsys,
                                         section, key, value, path):
         (mini_dict[section] if section else mini_dict)[key] = value
@@ -362,6 +372,14 @@ class TestCli:
         write_map(b, tmp_path / "b.ogm")
         assert main(["diff", str(tmp_path / "a.ogm"), str(tmp_path / "b.ogm")]) == status
         assert expect in capsys.readouterr().out
+
+    def test_diff_rejects_a_non_finite_origin(self, tmp_path, capsys):
+        # written by hand: GridMap itself refuses a NaN origin
+        path = tmp_path / "nan_origin.ogm"
+        path.write_bytes(struct.pack("<4sHdddII", b"OGM1", 1, 0.2, math.nan, 0.0, 1, 1)
+                         + struct.pack("<d", 0.0) + b"\x00")
+        assert main(["diff", str(path), str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_run_with_prebuilt_offline(self, mini_dict, tmp_path, capsys):
         cfg = self._write_cfg(mini_dict, tmp_path)

@@ -79,26 +79,26 @@ class TestTrajectories:
 class TestGroundReturns:
     def test_downward_beams_hit_ground_at_analytic_range(self):
         cfg = small_sensor()
-        sweep = simulate_sweep(flat_world(), Pose(0, 0, 0, 0), cfg, 0.0)
+        sweep = simulate_sweep(flat_world(), Pose(0, 0, 0, 0), cfg)
         for b, ang in enumerate((-20.0, -10.0)):
             expect = 2.0 / math.sin(math.radians(-ang))
             np.testing.assert_allclose(sweep.ranges[:, b], expect, rtol=1e-12)
 
     def test_level_and_upward_beams_miss(self):
         cfg = small_sensor(vertical_angles=np.radians([-20.0, 0.0, 2.0, 5.0]))
-        sweep = simulate_sweep(flat_world(), Pose(0, 0, 0, 0), cfg, 0.0)
+        sweep = simulate_sweep(flat_world(), Pose(0, 0, 0, 0), cfg)
         assert np.isinf(sweep.ranges[:, 1:]).all()
         assert np.isnan(sweep.hit_points[:, 1:]).all()
 
     def test_max_range_cutoff(self):
         cfg = small_sensor(max_range=5.0)
-        sweep = simulate_sweep(flat_world(), Pose(0, 0, 0, 0), cfg, 0.0)
+        sweep = simulate_sweep(flat_world(), Pose(0, 0, 0, 0), cfg)
         assert np.isinf(sweep.ranges[:, 0]).all()  # ground at 5.85 m
 
     def test_blind_disk_radius(self):
         # the innermost ground return sits where the steepest beam lands
         cfg = small_sensor()
-        sweep = simulate_sweep(flat_world(), Pose(0, 0, 0, 0), cfg, 0.0)
+        sweep = simulate_sweep(flat_world(), Pose(0, 0, 0, 0), cfg)
         ground = sweep.hit_points[np.isfinite(sweep.ranges)]
         r = np.hypot(ground[:, 0], ground[:, 1])
         assert r.min() == pytest.approx(2.0 / math.tan(math.radians(20.0)), rel=1e-9)
@@ -108,41 +108,46 @@ class TestBoxReturns:
     def test_face_hit_at_analytic_slant_range(self):
         box = Box(5.0, 6.0, -2.0, 2.0, 3.0)
         cfg = small_sensor()
-        sweep = simulate_sweep(flat_world([box]), Pose(0, 0, 0, 0), cfg, 0.0)
-        # the azimuth-0 scan points straight at the x = 5 face
-        idx = int(np.argmin(np.abs(sweep.azimuths)))
+        sweep = simulate_sweep(flat_world([box]), Pose(0, 0, 0, 0), cfg)
+        # scan 0 points along the ego's yaw, straight at the x = 5 face
         for b, ang in enumerate((-20.0, -10.0, -2.0)):
             expect = 5.0 / math.cos(math.radians(ang))
-            assert sweep.ranges[idx, b] == pytest.approx(expect, rel=1e-12)
+            assert sweep.ranges[0, b] == pytest.approx(expect, rel=1e-12)
 
     def test_occlusion_takes_nearest_surface(self):
         near = Box(4.0, 5.0, -2.0, 2.0, 3.0)
         far = Box(8.0, 9.0, -2.0, 2.0, 3.0)
         sweep = simulate_sweep(flat_world([far, near]), Pose(0, 0, 0, 0),
-                               small_sensor(), 0.0)
-        idx = int(np.argmin(np.abs(sweep.azimuths)))
-        assert sweep.ranges[idx, 2] == pytest.approx(4.0 / math.cos(math.radians(2.0)))
+                               small_sensor())
+        assert sweep.ranges[0, 2] == pytest.approx(4.0 / math.cos(math.radians(2.0)))
 
     def test_rotated_dynamic_box(self):
         obj = DynamicObject("d", 2.0, 1.0, 3.0,
                             [Pose(6.0, 0.0, math.pi / 2, t=0.0)])
         sweep = simulate_sweep(flat_world(objects=[obj]), Pose(0, 0, 0, 0),
-                               small_sensor(), 0.0)
-        idx = int(np.argmin(np.abs(sweep.azimuths)))
+                               small_sensor())
         # rotated 90 degrees, the 1.0 m width spans x, so the near face is at 5.5
-        assert sweep.ranges[idx, 2] == pytest.approx(5.5 / math.cos(math.radians(2.0)))
+        assert sweep.ranges[0, 2] == pytest.approx(5.5 / math.cos(math.radians(2.0)))
+
+    @pytest.mark.parametrize("t, face_x", [(0.0, 4.5), (2.0, 6.5)])
+    def test_moving_box_seen_at_the_pose_time(self, t, face_x):
+        # the box drives from x = 5 to x = 9 over 0-4 s; its near face is 0.5 m short
+        obj = DynamicObject("d", 1.0, 2.0, 3.0, [Pose(5.0, 0.0, 0.0, t=0.0),
+                                                 Pose(9.0, 0.0, 0.0, t=4.0)])
+        sweep = simulate_sweep(flat_world(objects=[obj]), Pose(0, 0, 0, t), small_sensor())
+        assert sweep.ranges[0, 2] == pytest.approx(face_x / math.cos(math.radians(2.0)))
 
     def test_sampling_oracle(self):
         # march each ray in 1 mm steps and find the first surface crossing
         boxes = [Box(3.0, 5.0, 1.0, 4.0, 2.5), Box(-6.0, -4.0, -3.0, 0.5, 1.0)]
         cfg = small_sensor(azimuth_steps=24, max_range=20.0)
         ego = Pose(0.5, -0.25, 0.3, 0.0)
-        sweep = simulate_sweep(flat_world(boxes), ego, cfg, 0.0)
+        sweep = simulate_sweep(flat_world(boxes), ego, cfg)
         origin = np.array([ego.x, ego.y, 2.0])
         step = 1e-3
-        for i in range(sweep.scan_count):
+        for i in range(cfg.azimuth_steps):
             for b in range(len(cfg.vertical_angles)):
-                az = sweep.azimuths[i]
+                az = ego.yaw + i * (TAU / cfg.azimuth_steps)
                 va = cfg.vertical_angles[b]
                 d = np.array([math.cos(va) * math.cos(az),
                               math.cos(va) * math.sin(az), math.sin(va)])
@@ -165,27 +170,27 @@ class TestBoxReturns:
 class TestSweepBehavior:
     def test_deterministic_without_noise(self):
         w = flat_world([Box(3.0, 4.0, -1.0, 1.0, 2.0)])
-        a = simulate_sweep(w, Pose(0, 0, 0, 0), small_sensor(), 0.0)
-        b = simulate_sweep(w, Pose(0, 0, 0, 0), small_sensor(), 0.0)
+        a = simulate_sweep(w, Pose(0, 0, 0, 0), small_sensor())
+        b = simulate_sweep(w, Pose(0, 0, 0, 0), small_sensor())
         np.testing.assert_array_equal(a.ranges, b.ranges)
         np.testing.assert_array_equal(a.hit_points, b.hit_points)
 
     def test_noise_is_seeded(self):
         cfg = small_sensor(noise_sigma=0.05)
         w = flat_world()
-        a = simulate_sweep(w, Pose(0, 0, 0, 0), cfg, 0.0, np.random.default_rng(1))
-        b = simulate_sweep(w, Pose(0, 0, 0, 0), cfg, 0.0, np.random.default_rng(1))
-        c = simulate_sweep(w, Pose(0, 0, 0, 0), cfg, 0.0, np.random.default_rng(2))
+        a = simulate_sweep(w, Pose(0, 0, 0, 0), cfg, np.random.default_rng(1))
+        b = simulate_sweep(w, Pose(0, 0, 0, 0), cfg, np.random.default_rng(1))
+        c = simulate_sweep(w, Pose(0, 0, 0, 0), cfg, np.random.default_rng(2))
         np.testing.assert_array_equal(a.ranges, b.ranges)
         assert not np.array_equal(a.ranges, c.ranges)
 
     def test_noise_without_a_generator_rejected(self):
         with pytest.raises(ParameterError, match="noise_sigma"):
-            simulate_sweep(flat_world(), Pose(0, 0, 0, 0), small_sensor(noise_sigma=0.05), 0.0)
+            simulate_sweep(flat_world(), Pose(0, 0, 0, 0), small_sensor(noise_sigma=0.05))
 
     def test_hit_points_consistent_with_ranges(self):
         sweep = simulate_sweep(flat_world([Box(3, 4, -1, 1, 2)]),
-                               Pose(1.0, -2.0, 0.7, 0.0), small_sensor(), 0.0)
+                               Pose(1.0, -2.0, 0.7, 0.0), small_sensor())
         fin = np.isfinite(sweep.ranges)
         d = np.linalg.norm(
             sweep.hit_points[fin] - np.array([1.0, -2.0, 2.0]), axis=-1)
@@ -193,14 +198,14 @@ class TestSweepBehavior:
 
     def test_yaw_rotates_azimuths(self):
         box = Box(5.0, 6.0, -2.0, 2.0, 3.0)
-        base = simulate_sweep(flat_world([box]), Pose(0, 0, 0, 0), small_sensor(), 0.0)
+        base = simulate_sweep(flat_world([box]), Pose(0, 0, 0, 0), small_sensor())
         turned = simulate_sweep(flat_world([box]), Pose(0, 0, TAU / 36, 0),
-                                small_sensor(), 0.0)
+                                small_sensor())
         np.testing.assert_allclose(base.ranges[1], turned.ranges[0], rtol=1e-12)
 
     def test_ego_outside_bounds_rejected(self):
         with pytest.raises(ScenarioError):
-            simulate_sweep(flat_world(), Pose(500.0, 0, 0, 0), small_sensor(), 0.0)
+            simulate_sweep(flat_world(), Pose(500.0, 0, 0, 0), small_sensor())
 
     def test_sensor_validation(self):
         with pytest.raises(ParameterError):
@@ -214,9 +219,16 @@ class TestSweepBehavior:
         with pytest.raises(ParameterError):
             small_sensor(noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("bounds", [(6.0, 5.0, -2.0, 2.0), (5.0, 6.0, 2.0, -2.0),
+                                        (5.0, 6.0, 2.0, 2.0)])
+    def test_box_validation(self, bounds):
+        # an inverted or flat box would never be hit by the slab test
+        with pytest.raises(ParameterError, match="x_min < x_max"):
+            Box(*bounds, 3.0)
 
-def full_slab_sweep(world, ego, cfg, t, rng=None):
-    """Reference sweep: every box is slab-tested against every ray."""
+
+def full_slab_sweep(world, ego, cfg, rng=None):
+    """Reference sweep at ``ego.t``: every box is slab-tested against every ray."""
     n_az = cfg.azimuth_steps
     azimuths = ego.yaw + np.arange(n_az) * (TAU / n_az)
     elev = cfg.vertical_angles
@@ -234,7 +246,7 @@ def full_slab_sweep(world, ego, cfg, t, rng=None):
         hi = np.array([box.x_max, box.y_max, box.z_top])
         best = np.minimum(best, _box_enter_t(origin, dirs, lo, hi))
     for obj in world.dynamic_objects:
-        pose = obj.pose_at(t)
+        pose = obj.pose_at(ego.t)
         c, s = math.cos(-pose.yaw), math.sin(-pose.yaw)
         local_origin = origin.copy()
         ox, oy = origin[0] - pose.x, origin[1] - pose.y
@@ -328,7 +340,7 @@ class TestBoxCulling:
               small_sensor(azimuth_steps=8), 0))
     def test_matches_full_slab_test(self, case):
         world, ego, cfg, seed = case
-        sweep = simulate_sweep(world, ego, cfg, 0.0, np.random.default_rng(seed))
-        ranges, hits = full_slab_sweep(world, ego, cfg, 0.0, np.random.default_rng(seed))
+        sweep = simulate_sweep(world, ego, cfg, np.random.default_rng(seed))
+        ranges, hits = full_slab_sweep(world, ego, cfg, np.random.default_rng(seed))
         assert np.array_equal(sweep.ranges, ranges, equal_nan=True)
         assert np.array_equal(sweep.hit_points, hits, equal_nan=True)
