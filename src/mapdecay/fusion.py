@@ -92,8 +92,16 @@ def _paste(dst: GridMap, src: GridMap) -> None:
 
 
 def offline_window(offline: GridMap, grid: GridMap) -> GridMap:
-    """Offline values and flags over ``grid``'s cells, which lie on the
-    offline lattice; out-of-extent cells are 0.0 and unobserved."""
+    """Offline values and flags over ``grid``'s cells, which lie on the offline
+    lattice: read-only views of ``offline`` inside its extent, else a fresh copy
+    whose out-of-extent cells are 0.0 and unobserved."""
+    dc, dr = grid.offset_in(offline)
+    if 0 <= dc <= offline.width - grid.width and 0 <= dr <= offline.height - grid.height:
+        cells = np.s_[dr:dr + grid.height, dc:dc + grid.width]
+        window = GridMap(grid.resolution, grid.origin_x, grid.origin_y,
+                         offline.values[cells], offline.observed[cells])
+        window.values.flags.writeable = window.observed.flags.writeable = False
+        return window
     window = GridMap(grid.resolution, grid.origin_x, grid.origin_y, np.zeros(grid.shape))
     _paste(window, offline)
     return window

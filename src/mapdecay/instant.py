@@ -169,8 +169,7 @@ def apply_instant(target: GridMap, inst: InstantMap) -> None:
     """
     if not target.same_extent(inst):
         raise AlignmentError("instant map extent does not match the target grid")
-    occ = inst.kind == KIND_OCCUPIED
-    free = inst.kind == KIND_FREE_SET
-    target.values[occ] = update_cell(target.values[occ], L_OCC)
-    target.values[free] = L_FREE_SET
-    target.observed[occ | free] = True
+    occ = np.flatnonzero(inst.kind == KIND_OCCUPIED)
+    np.put(target.values, occ, update_cell(target.values.take(occ), L_OCC))
+    np.copyto(target.values, L_FREE_SET, where=inst.kind == KIND_FREE_SET)
+    target.observed |= inst.kind != KIND_UNTOUCHED

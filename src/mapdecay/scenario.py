@@ -72,6 +72,9 @@ class ScenarioConfig:
         if not math.isfinite(self.duration * self.tick_rate):
             raise ConfigError(f"duration: {self.duration!r} s at {self.tick_rate!r} Hz "
                               "is too many ticks to count")
+        if self.n_ticks < 1:
+            raise ConfigError(f"duration: {self.duration!r} s at {self.tick_rate!r} Hz "
+                              "rounds to 0 ticks")
         span = self.offline_trajectory[-1].t - self.offline_trajectory[0].t
         if not math.isfinite(span * self.offline_tick_rate):
             raise ConfigError(f"offline_tick_rate: {self.offline_tick_rate!r} Hz over "
@@ -350,12 +353,13 @@ def persistence_from_stream(max_dev, eps_trace: float) -> Optional[int]:
 def occupancy_iou(a_values: np.ndarray, b_values: np.ndarray,
                   mask: np.ndarray) -> float:
     """Cellwise IoU of occupancy (p > 0.5, log-odds > 0) over the masked cells."""
-    a_occ = (a_values > 0.0) & mask
-    b_occ = (b_values > 0.0) & mask
-    union = int((a_occ | b_occ).sum())
-    if union == 0:
-        return 1.0
-    return int((a_occ & b_occ).sum()) / union
+    a_occ = a_values > 0.0
+    a_occ &= mask
+    b_occ = b_values > 0.0
+    b_occ &= mask
+    union = np.count_nonzero(a_occ | b_occ)
+    a_occ &= b_occ
+    return np.count_nonzero(a_occ) / union if union else 1.0
 
 
 def _rect_cells(grid: GridMap, x_min: float, y_min: float, x_max: float,
@@ -516,12 +520,15 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap], out: Path,
         touched[inside] = inst.kind[wr[inside], wc[inside]] != 0
         last_observed[touched] = k
 
-        observed_cells[k] = int(grid.observed.sum())
+        observed_cells[k] = np.count_nonzero(grid.observed)
         off_win = offline_window(offline, grid)
         iou[k] = occupancy_iou(grid.values, off_win.values, grid.observed)
-        static = grid.observed & off_win.observed & (off_win.values > 0.0)
-        static_total[k] = int(static.sum())
-        static_ok[k] = int((static & (grid.values > occ_cut)).sum())
+        static = off_win.values > 0.0
+        static &= off_win.observed
+        static &= grid.observed
+        static_total[k] = np.count_nonzero(static)
+        static &= grid.values > occ_cut
+        static_ok[k] = np.count_nonzero(static)
 
         if k % cfg.render_stride == 0:
             frame = frames_dir / f"frame_{k:06d}.ppm"

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from mapdecay import (
     L_FREE_SET,
+    L_MAX,
+    L_MIN,
     L_OCC,
     AlignmentError,
     CleanParams,
@@ -17,6 +19,7 @@ from mapdecay import (
     ParameterError,
     Pose,
     ScenarioError,
+    apply_decay,
     build_offline,
     clean_offline,
     decay_cell_pow,
@@ -146,11 +149,36 @@ class TestOnlineWindow:
                                                 50, 50))
         np.testing.assert_array_equal(win.observed, off.observed[10:60, 10:60])
 
+    def test_offline_window_inside_extent_is_a_read_only_view(self):
+        off = self._offline()
+        before = off.copy()
+        win = offline_window(off, GridMap.blank(0.2, off.origin_x + 2.0, off.origin_y + 2.0,
+                                                50, 50))
+        for view, prior in ((win.values, off.values), (win.observed, off.observed)):
+            assert np.shares_memory(view, prior)
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0] = 1
+        np.testing.assert_array_equal(off.values, before.values)
+        np.testing.assert_array_equal(off.observed, before.observed)
+
+    def test_decay_over_the_view_matches_decay_over_a_copy(self):
+        off = self._offline()
+        online = online_init(off, Pose(3.0, -2.0, 0, 0), window_size=20.0)
+        online.grid.values[:] = np.random.default_rng(4).uniform(L_MIN, L_MAX, (100, 100))
+        on_view, on_copy = online.grid, online.grid.copy()
+        win = offline_window(off, on_view)
+        apply_decay(on_view, win, DecayParams(10.0, 1.0))
+        apply_decay(on_copy, win.copy(), DecayParams(10.0, 1.0))
+        assert np.array_equal(on_view.values, on_copy.values)
+
     def test_offline_window_outside_extent_unknown(self):
         off = self._offline()
         win = offline_window(off, GridMap.blank(0.2, off.origin_x - 2.0, off.origin_y, 50, 50))
         assert (win.values[:, :10] == 0.0).all()
         assert not win.observed[:, :10].any()
+        # a window hanging over the extent is a fresh copy, not a view
+        for cells, prior in ((win.values, off.values), (win.observed, off.observed)):
+            assert cells.flags.writeable and not np.shares_memory(cells, prior)
 
     @pytest.mark.parametrize("resolution, shift", [(0.4, 0.0), (0.2, 0.1)],
                              ids=["coarser", "half_cell_off"])

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from mapdecay import (
     L_FREE_SET,
     L_MAX,
+    L_MIN,
     L_OCC,
     AlignmentError,
     Box,
@@ -21,8 +24,15 @@ from mapdecay import (
     build_instant_map,
     raycast_cells,
     simulate_sweep,
+    update_cell,
 )
-from mapdecay.instant import KIND_FREE_SET, KIND_OCCUPIED, KIND_UNTOUCHED, obstacle_mask
+from mapdecay.instant import (
+    KIND_FREE_SET,
+    KIND_OCCUPIED,
+    KIND_UNTOUCHED,
+    InstantMap,
+    obstacle_mask,
+)
 
 
 def dense_line_cells(frm, to, step=0.01):
@@ -153,6 +163,27 @@ class TestBuildInstantMap:
                               ObstacleThresholds(0.3, 4.0))
 
 
+def dense_apply(target, inst):
+    """Reference apply: a boolean mask per kind over the whole grid."""
+    occ = inst.kind == KIND_OCCUPIED
+    free = inst.kind == KIND_FREE_SET
+    target.values[occ] = update_cell(target.values[occ], L_OCC)
+    target.values[free] = L_FREE_SET
+    target.observed[occ | free] = True
+
+
+@st.composite
+def _apply_cases(draw):
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=9))
+    kind = draw(hnp.arrays(np.uint8, shape, elements=st.sampled_from(
+        [KIND_UNTOUCHED, KIND_FREE_SET, KIND_OCCUPIED])))
+    # values within L_OCC of L_MAX hit the clamp
+    values = draw(hnp.arrays(np.float64, shape, elements=st.floats(L_MIN, L_MAX)
+                             | st.floats(L_MAX - L_OCC, L_MAX)))
+    observed = draw(hnp.arrays(np.bool_, shape))
+    return kind, values, observed
+
+
 class TestApplyInstant:
     def _setup(self):
         scene = _Scene()
@@ -193,3 +224,18 @@ class TestApplyInstant:
         grid = GridMap.blank(0.25, 0.0, 0.0, 200, 200)
         with pytest.raises(AlignmentError):
             apply_instant(grid, inst)
+
+    @given(_apply_cases())
+    @example((np.zeros((3, 4), np.uint8), np.full((3, 4), L_MAX - 1.0), np.zeros((3, 4), bool)))
+    @example((np.full((3, 4), KIND_OCCUPIED, np.uint8),
+              np.linspace(L_MAX - 2.0 * L_OCC, L_MAX, 12).reshape(3, 4),
+              np.eye(3, 4, dtype=bool)))
+    def test_matches_dense_apply(self, case):
+        kind, values, observed = case
+        inst = InstantMap(0.25, 0.0, 0.0, kind)
+        got = GridMap(0.25, 0.0, 0.0, values.copy(), observed.copy())
+        want = GridMap(0.25, 0.0, 0.0, values.copy(), observed.copy())
+        apply_instant(got, inst)
+        dense_apply(want, inst)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.observed, want.observed)

@@ -115,10 +115,13 @@ class TestConfigValidation:
         ("world", "static_boxes",
          [{"x_min": 8.0, "x_max": -8.0, "y_min": 6.0, "y_max": 6.4, "z_top": 3.0}],
          "world.static_boxes[0].: a box needs x_min < x_max"),
+        (None, "duration", 1e-6, "duration: 1e-06 s at 20.0 Hz rounds to 0 ticks"),
+        (None, "tick_rate", 0.01, "duration: 7.0 s at 0.01 Hz rounds to 0 ticks"),
     ], ids=["bounds", "extent", "vertical_angles", "nan", "inf", "huge_int",
             "tick_overflow", "partial_cell", "offline_tick_overflow", "knot_outside_extent",
             "no_beams", "negative_beams", "negative_offline_tick_rate", "negative_seed",
-            "huge_window", "window_overflow", "inverted_box"])
+            "huge_window", "window_overflow", "inverted_box", "short_duration",
+            "slow_tick_rate"])
     def test_malformed_numbers_rejected(self, mini_dict, tmp_path, capsys,
                                         section, key, value, path):
         (mini_dict[section] if section else mini_dict)[key] = value
@@ -155,6 +158,28 @@ class TestConfigValidation:
             load_config(tmp_path / "nope.json")
 
 
+def dense_iou(a_values, b_values, mask):
+    """Reference IoU: both masked occupancy masks, their union and intersection."""
+    a_occ = (a_values > 0.0) & mask
+    b_occ = (b_values > 0.0) & mask
+    union = int((a_occ | b_occ).sum())
+    if union == 0:
+        return 1.0
+    return int((a_occ & b_occ).sum()) / union
+
+
+@st.composite
+def _iou_cases(draw):
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=9))
+    # 0.0 is the occupancy edge: it counts as not occupied
+    cell = st.floats(L_MIN, L_MAX) | st.sampled_from([0.0, -0.0, 5e-324])
+    a_values = draw(hnp.arrays(np.float64, shape, elements=cell))
+    b_values = draw(hnp.arrays(np.float64, shape, elements=cell))
+    mask = draw(st.sampled_from([np.zeros(shape, bool), np.ones(shape, bool)])
+                | hnp.arrays(np.bool_, shape))
+    return a_values, b_values, mask
+
+
 class TestMetrics:
     def test_persistence_examples(self):
         assert persistence_from_stream([0.0, 0.0], 0.1) == 0
@@ -183,6 +208,12 @@ class TestMetrics:
         mask = np.ones((4, 4), dtype=bool)
         mask[0, 0] = False
         assert occupancy_iou(a.values, b.values, mask) == 1.0
+
+    @given(_iou_cases())
+    @example((np.ones((3, 3)), np.ones((3, 3)), np.zeros((3, 3), bool)))
+    @example((np.zeros((2, 4)), np.zeros((2, 4)), np.ones((2, 4), bool)))
+    def test_iou_matches_dense_iou(self, case):
+        assert occupancy_iou(*case) == dense_iou(*case)
 
 
 def dense_render(grid, path):
