@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import MapDecayError
+from .errors import AlignmentError, MapDecayError
 from .grid import DecayParams, check_values, read_map, write_map
 from .scenario import build_offline_phase, load_config, render_frame, run_scenario
 
@@ -80,7 +80,10 @@ def _cmd_render(args) -> int:
 def _cmd_diff(args) -> int:
     a = read_map(args.a)
     b = read_map(args.b)
-    if not a.same_extent(b):
+    try:
+        if a.shape != b.shape or a.offset_in(b) != (0, 0):
+            raise AlignmentError("not the same cells")
+    except AlignmentError:
         print(f"extent mismatch: {a.width}x{a.height} cells of {a.resolution} m at "
               f"({a.origin_x}, {a.origin_y}) vs {b.width}x{b.height} cells of "
               f"{b.resolution} m at ({b.origin_x}, {b.origin_y})")

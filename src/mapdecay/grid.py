@@ -83,13 +83,18 @@ class DecayParams:
         return self.w_on / (self.w_on + self.w_off)
 
 
-def decay_cell(on, off, params: DecayParams):
+def decay_cell(on, off, params: DecayParams, out=None):
     """One decay step, ``off + (on - off) * retention``: the weighted average of
-    the online and offline values, elementwise on arrays.  ``decay_cell(v, v, p)``
-    is exactly ``v``; for values in ``[L_MIN, L_MAX]`` and ``retention < 1`` the
-    result lies between ``on`` and ``off``.  Observed flags are not touched.
+    the online and offline values, elementwise on arrays, written into the
+    array ``out`` when one is given.  ``decay_cell(v, v, p)`` is exactly ``v``;
+    for values in ``[L_MIN, L_MAX]`` and ``retention < 1`` the result lies
+    between ``on`` and ``off``.  Observed flags are not touched.
     """
-    return off + (on - off) * params.retention
+    off = np.copy(off) if np.may_share_memory(out, off) else off  # read after out is set
+    dev = np.subtract(on, off, out=out)
+    dev *= params.retention
+    dev += off
+    return dev
 
 
 def decay_cell_pow(on: float, off: float, params: DecayParams, k: int) -> float:
@@ -172,24 +177,17 @@ class GridMap:
         return GridMap(self.resolution, self.origin_x, self.origin_y,
                        self.values.copy(), self.observed.copy())
 
-    def same_extent(self, other) -> bool:
-        """Whether ``other`` (a grid or an instant map) covers the same cells."""
-        return (self.shape == other.shape
-                and abs(self.resolution - other.resolution) <= 1e-9
-                and abs(self.origin_x - other.origin_x) <= 1e-9
-                and abs(self.origin_y - other.origin_y) <= 1e-9)
-
     def offset_in(self, other: "GridMap") -> tuple[int, int]:
         """(col, row) of this grid's cell (0, 0) in ``other``.  The one relation
         between two lattices: an AlignmentError unless they are the same."""
         cells = ((self.origin_x - other.origin_x) / other.resolution,
                  (self.origin_y - other.origin_y) / other.resolution)
-        offset = round(cells[0]), round(cells[1])
-        if (abs(self.resolution - other.resolution) > 1e-9
-                or max(abs(cells[0] - offset[0]), abs(cells[1] - offset[1])) > 1e-6):
+        # negated, so that the NaN of an infinite offset fails it too
+        if not (abs(self.resolution - other.resolution) <= 1e-9
+                and np.all(np.abs(np.subtract(cells, np.rint(cells))) <= 1e-6)):
             raise AlignmentError(f"grids not on one lattice: {self.resolution!r} m vs "
                                  f"{other.resolution!r} m, offset {cells} cells")
-        return offset
+        return round(cells[0]), round(cells[1])
 
 
 def apply_decay(grid: GridMap, offline: GridMap, params: DecayParams) -> None:
@@ -197,10 +195,11 @@ def apply_decay(grid: GridMap, offline: GridMap, params: DecayParams) -> None:
 
     A pure per-cell operation: results are independent of traversal order.
     Observed flags are left untouched, and ``params.enabled`` is not read.
+    The values are decayed in place.
     """
-    if not grid.same_extent(offline):
+    if not (grid.shape == offline.shape and grid.offset_in(offline) == (0, 0)):
         raise AlignmentError("online and offline grids must share extent and resolution")
-    grid.values[:] = decay_cell(grid.values, offline.values, params)
+    decay_cell(grid.values, offline.values, params, out=grid.values)
 
 
 def check_values(grid: GridMap, name: str) -> GridMap:

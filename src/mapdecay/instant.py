@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import AlignmentError, ParameterError
 from .grid import GridMap, logodds_from_prob, update_cell
-from .world import Sweep
+from .world import Sweep, ray_geometry
 
 #: Evidence added to a cell per obstacle return.
 L_OCC = logodds_from_prob(0.9)
@@ -115,10 +115,16 @@ def build_instant_map(sweep: Sweep, grid: GridMap, ground_z: float,
         raise AlignmentError("instant map extent does not contain the sensor position")
 
     kind = np.zeros(grid.shape, dtype=np.uint8)
-    hits = sweep.hit_points
+    origin, cos_a, sin_a, cos_e, sin_e = ray_geometry(sweep.ego_pose, sweep.sensor, ground_z)
+    dir_x, dir_y = cos_a[:, None] * cos_e, sin_a[:, None] * cos_e
+
+    def hit_xy(rays):  # world xy of the returns of the rays that ``rays`` indexes
+        r = sweep.ranges[rays]
+        return origin[0] + r * dir_x[rays], origin[1] + r * dir_y[rays]
 
     returned = np.isfinite(sweep.ranges)
-    obstacle = obstacle_mask(hits[:, :, 2], returned, ground_z, thresholds)
+    safe = np.where(returned, sweep.ranges, 0.0)
+    obstacle = obstacle_mask(origin[2] + safe * sin_e, returned, ground_z, thresholds)
 
     # free intervals, one per vertical scan with a usable first-beam anchor
     n_az, n_beams = sweep.ranges.shape
@@ -135,12 +141,11 @@ def build_instant_map(sweep: Sweep, grid: GridMap, ground_z: float,
     # an obstacle nearer than the first beam's hit yields an empty interval
     usable &= np.isfinite(end_d) & (end_d >= start_d)
 
-    starts = np.stack(grid.cell_of(hits[usable, 0, 0], hits[usable, 0, 1]), axis=1)
+    starts = np.stack(grid.cell_of(*hit_xy((az[usable], 0))), axis=1)
     # the span ends a hair short of its end hit, so grid-line rounding never
     # frees a cell inside the surface that was hit
-    end_hits = hits[az[usable], end_beam[usable]]
-    ends = np.stack(_nudged_cells(grid, end_hits[:, 0], end_hits[:, 1], sx, sy, -1e-6),
-                    axis=1)
+    ends = np.stack(_nudged_cells(grid, *hit_xy((az[usable], end_beam[usable])), sx, sy,
+                                  -1e-6), axis=1)
 
     _, f_cols, f_rows = raycast_cells(starts, ends)
     # with no obstacle in the scan, the last ground return itself is free
@@ -152,8 +157,7 @@ def build_instant_map(sweep: Sweep, grid: GridMap, ground_z: float,
 
     # occupied marking last: it takes precedence over free on conflicts;
     # each obstacle hit is looked up a hair further along its ray
-    o_cols, o_rows = _nudged_cells(grid, hits[:, :, 0][obstacle], hits[:, :, 1][obstacle],
-                                   sx, sy, 1e-6)
+    o_cols, o_rows = _nudged_cells(grid, *hit_xy(obstacle), sx, sy, 1e-6)
     in_grid = grid.contains_cell(o_cols, o_rows)
     kind[o_rows[in_grid], o_cols[in_grid]] = KIND_OCCUPIED
 
@@ -167,7 +171,7 @@ def apply_instant(target: GridMap, inst: InstantMap) -> None:
     overwritten to ``L_FREE_SET``.  Both mark the cell observed.  Untouched
     cells are unchanged.
     """
-    if not target.same_extent(inst):
+    if not (target.shape == inst.shape and target.offset_in(inst) == (0, 0)):
         raise AlignmentError("instant map extent does not match the target grid")
     occ = np.flatnonzero(inst.kind == KIND_OCCUPIED)
     np.put(target.values, occ, update_cell(target.values.take(occ), L_OCC))

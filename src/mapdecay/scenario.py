@@ -362,33 +362,28 @@ def occupancy_iou(a_values: np.ndarray, b_values: np.ndarray,
     return np.count_nonzero(a_occ) / union if union else 1.0
 
 
-def _rect_cells(grid: GridMap, x_min: float, y_min: float, x_max: float,
-                y_max: float) -> tuple[int, int, int, int]:
-    """Spans ``(c0, c1, r0, r1)`` of the cells holding the rectangle's points,
-    clipped to the grid; empty when it lies outside."""
-    c0, r0 = grid.cell_of(x_min, y_min)
-    c1, r1 = grid.cell_of(x_max, y_max)
-    return max(c0, 0), min(c1 + 1, grid.width), max(r0, 0), min(r1 + 1, grid.height)
-
-
-def _footprint_cells(obj: DynamicObject, t: float, grid: GridMap,
-                     margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the cells whose center lies in the object footprint at
-    time t, grown by ``margin`` meters on every side."""
-    corners = obj.footprint_corners(t)
-    c0, c1, r0, r1 = _rect_cells(grid, corners[:, 0].min() - margin,
-                                 corners[:, 1].min() - margin,
-                                 corners[:, 0].max() + margin,
-                                 corners[:, 1].max() + margin)
-    cols, rows = np.meshgrid(np.arange(c0, c1), np.arange(r0, r1))
-    cx, cy = grid.center_of(cols, rows)
-    pose = obj.pose_at(t)
-    ca, sa = math.cos(-pose.yaw), math.sin(-pose.yaw)
-    lx = ca * (cx - pose.x) - sa * (cy - pose.y)
-    ly = sa * (cx - pose.x) + ca * (cy - pose.y)
-    inside = ((np.abs(lx) <= obj.length / 2.0 + margin)
-              & (np.abs(ly) <= obj.width / 2.0 + margin))
-    return rows[inside], cols[inside]
+def _mark_footprints(mask: np.ndarray, value: bool, obj: DynamicObject, times,
+                     grid: GridMap, margin: float = 0.0) -> None:
+    """Set ``mask`` to ``value`` on the cells whose center lies in the object
+    footprint at any of ``times``, grown by ``margin`` meters on every side.
+    A pass tests, for a batch of times, the square of cells around each pose
+    that holds the footprint in any heading: about 2**18 cells."""
+    half_l, half_w = obj.length / 2.0 + margin, obj.width / 2.0 + margin
+    reach = math.hypot(half_l, half_w)
+    side = np.arange(math.ceil(2.0 * reach / grid.resolution) + 2)
+    batch = max(1, (1 << 18) // side.size ** 2)
+    for i in range(0, len(times), batch):
+        poses = [obj.pose_at(t) for t in times[i:i + batch]]
+        px, py, ca, sa = (np.array(v)[:, None, None] for v in zip(*(
+            (p.x, p.y, math.cos(-p.yaw), math.sin(-p.yaw)) for p in poses)))
+        c0, r0 = grid.cell_of(px - reach, py - reach)
+        cols, rows = c0 + side[None, None, :], r0 + side[None, :, None]
+        cx, cy = grid.center_of(cols, rows)
+        lx = ca * (cx - px) - sa * (cy - py)
+        ly = sa * (cx - px) + ca * (cy - py)
+        inside = (np.abs(lx) <= half_l) & (np.abs(ly) <= half_w) & grid.contains_cell(cols, rows)
+        k, r, c = np.nonzero(inside)
+        mask[rows[k, r, 0], cols[k, 0, c]] = value
 
 
 def compute_trace_region(cfg: ScenarioConfig,
@@ -402,18 +397,17 @@ def compute_trace_region(cfg: ScenarioConfig,
     the sensor at all.  Static obstacle footprints are excluded the same way.
     """
     mask = np.zeros(offline.shape, dtype=bool)
+    times = [k / cfg.tick_rate for k in range(cfg.n_ticks)]
     for obj in cfg.world.dynamic_objects:
-        for k in range(cfg.n_ticks):
-            mask[_footprint_cells(obj, k / cfg.tick_rate, offline)] = True
+        _mark_footprints(mask, True, obj, times, offline)
     mask &= offline.observed & (offline.values < 0.0)
-    t_end = (cfg.n_ticks - 1) / cfg.tick_rate
-    margin = 3.0 * offline.resolution
     for obj in cfg.world.dynamic_objects:
-        mask[_footprint_cells(obj, 0.0, offline, margin=margin)] = False
-        mask[_footprint_cells(obj, t_end, offline, margin=margin)] = False
+        _mark_footprints(mask, False, obj, [0.0, times[-1]], offline,
+                         margin=3.0 * offline.resolution)
     for box in cfg.world.static_boxes:
-        c0, c1, r0, r1 = _rect_cells(offline, box.x_min, box.y_min, box.x_max, box.y_max)
-        mask[r0:r1, c0:c1] = False
+        c0, r0 = offline.cell_of(box.x_min, box.y_min)
+        c1, r1 = offline.cell_of(box.x_max, box.y_max)
+        mask[max(r0, 0):max(r1 + 1, 0), max(c0, 0):max(c1 + 1, 0)] = False
     return np.nonzero(mask)
 
 
@@ -474,9 +468,11 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap], out: Path,
                   created: list[Path]) -> RunMetrics:
     if offline is None:
         offline = build_offline_phase(cfg)
-    elif not offline.same_extent(cfg.offline_grid()):
-        raise AlignmentError("offline map does not match the config's extent and resolution")
     else:
+        lattice = cfg.offline_grid()
+        if not (offline.shape == lattice.shape and offline.offset_in(lattice) == (0, 0)):
+            raise AlignmentError("offline map does not match the config's extent and resolution")
+        del lattice  # a blank map the size of the prior, not to be held for the run
         check_values(offline, "offline map")
 
     out.mkdir(parents=True, exist_ok=True)

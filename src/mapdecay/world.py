@@ -172,10 +172,21 @@ class SensorConfig:
 
 @dataclass
 class Sweep:
-    """One revolution at ``ego_pose`` and its time; scan i faces its yaw + i * TAU / n_scans."""
+    """One revolution at ``ego_pose`` and its time by ``sensor``: see :func:`ray_geometry`."""
     ego_pose: Pose
     ranges: np.ndarray              # (n_scans, n_beams), inf = no return
-    hit_points: np.ndarray          # (n_scans, n_beams, 3), NaN = no return
+    sensor: SensorConfig
+
+
+def ray_geometry(ego: Pose, cfg: SensorConfig, ground_z: float):
+    """``(origin, cos_a, sin_a, cos_e, sin_e)`` of a sweep's rays: scan i faces
+    ``ego.yaw + i * TAU / n_scans``, and ray (i, b) leaves ``origin`` along the
+    unit vector ``(cos_a[i] * cos_e[b], sin_a[i] * cos_e[b], sin_e[b])``.  Its
+    return lies at ``origin[k] + range * direction[k]``, in that order."""
+    azimuths = ego.yaw + np.arange(cfg.azimuth_steps) * (TAU / cfg.azimuth_steps)
+    elev = cfg.vertical_angles
+    return (np.array([ego.x, ego.y, ground_z + cfg.mount_height]),
+            np.cos(azimuths), np.sin(azimuths), np.cos(elev), np.sin(elev))
 
 
 def _box_enter_t(origin: np.ndarray, dirs: np.ndarray,
@@ -239,17 +250,11 @@ def simulate_sweep(world: World, ego: Pose, cfg: SensorConfig,
         raise ParameterError("noise_sigma > 0 needs a random generator")
 
     n_az = cfg.azimuth_steps
-    azimuths = ego.yaw + np.arange(n_az) * (TAU / n_az)
-    elev = cfg.vertical_angles
-    cos_e, sin_e = np.cos(elev), np.sin(elev)
-    cos_a, sin_a = np.cos(azimuths), np.sin(azimuths)
-
-    dirs = np.empty((n_az, len(elev), 3))
+    origin, cos_a, sin_a, cos_e, sin_e = ray_geometry(ego, cfg, world.ground_z)
+    dirs = np.empty((n_az, len(cos_e), 3))
     dirs[:, :, 0] = cos_a[:, None] * cos_e[None, :]
     dirs[:, :, 1] = sin_a[:, None] * cos_e[None, :]
     dirs[:, :, 2] = sin_e[None, :]
-
-    origin = np.array([ego.x, ego.y, world.ground_z + cfg.mount_height])
     best = np.full(dirs.shape[:2], np.inf)
 
     # ground plane
@@ -287,9 +292,5 @@ def simulate_sweep(world: World, ego: Pose, cfg: SensorConfig,
         noise = rng.normal(0.0, cfg.noise_sigma, best.shape)
         best = np.where(np.isfinite(best), np.maximum(best + noise, 1e-3), best)
 
-    ranges = np.where(best <= cfg.max_range, best, np.inf)
-    safe = np.where(np.isfinite(ranges), ranges, 0.0)
-    hits = origin[None, None, :] + safe[:, :, None] * dirs
-    hits[~np.isfinite(ranges)] = np.nan
-    return Sweep(ego, ranges, hits)
+    return Sweep(ego, np.where(best <= cfg.max_range, best, np.inf), cfg)
 

@@ -17,6 +17,9 @@ Criteria covered, in order:
   8. runs are deterministic and the file formats are exact
   9. with decay off, a window that moves with the ego holds exactly the
      cells of one full-extent map fed the same sweeps
+ 10. with decay on, each trace cell falls below epsilon_trace exactly
+     ceil(ln(eps / D) / ln a) ticks after its last evidence, D its deviation
+     from the prior then and a the retention
 """
 
 from __future__ import annotations
@@ -356,3 +359,37 @@ def test_9_moving_window_matches_one_fixed_map(mini_dict, lattice):
     assert shift >= 110
     print(f"\nACCEPTANCE 9: PASS ({cfg.n_ticks} decay-free ticks, window moved "
           f"{shift} cells, bit-identical to one full-extent map)")
+
+
+def fade_schedule_misses(m, retention):
+    """Trace cells with evidence whose fade misses the closed-form schedule,
+    and the number of cells checked and censored by the end of the run."""
+    dev = m.trace_dev
+    eps = m.epsilon_trace
+    misses, checked, censored = [], 0, 0
+    for i in np.flatnonzero(m.last_observed >= 0):
+        k0 = int(m.last_observed[i])
+        d = dev[k0, i]
+        due = 0 if d < eps else math.ceil(math.log(eps / d) / math.log(retention))
+        below = np.flatnonzero(dev[k0:, i] < eps)
+        if k0 + due >= len(dev):  # the run ends first: the cell must still deviate
+            censored += 1
+            fades = below.size == 0
+        else:
+            checked += 1
+            fades = below.size > 0 and below[0] == due
+        if not fades:
+            misses.append((int(i), k0, float(d), due))
+    return misses, checked, censored
+
+
+def test_10_cells_fade_on_the_decay_schedule(run_decay_on, mini_dict, tmp_path):
+    # test 9's moving ego, with decay on
+    mini_dict["ego_trajectory"] = [[0.0, -12.0, -1.0, 0.0], [7.0, 12.0, 1.0, 0.0]]
+    mini_dict["sensor"]["max_range"] = 8.0
+    moving = run_scenario(config_from_dict(mini_dict), output_dir=str(tmp_path))
+    for name, m in (("overtake", run_decay_on), ("moving mini", moving)):
+        misses, checked, censored = fade_schedule_misses(m, WEIGHTS.retention)
+        assert checked > 40 and not misses, (name, misses[:5])
+        print(f"\nACCEPTANCE 10: PASS ({name}: {checked} trace cells fade on "
+              f"schedule, {censored} censored)")

@@ -171,6 +171,17 @@ class TestOnlineWindow:
         apply_decay(on_copy, win.copy(), DecayParams(10.0, 1.0))
         assert np.array_equal(on_view.values, on_copy.values)
 
+    def test_decay_leaves_the_read_only_prior_unchanged(self):
+        off = self._offline()
+        before = off.copy()
+        online = online_init(off, Pose(3.0, -2.0, 0, 0), window_size=20.0)
+        online.grid.values[:] = np.random.default_rng(5).uniform(L_MIN, L_MAX, (100, 100))
+        win = offline_window(off, online.grid)
+        apply_decay(online.grid, win, DecayParams(10.0, 1.0))
+        assert not win.values.flags.writeable and np.shares_memory(win.values, off.values)
+        assert off.values.tobytes() == before.values.tobytes()
+        np.testing.assert_array_equal(off.observed, before.observed)
+
     def test_offline_window_outside_extent_unknown(self):
         off = self._offline()
         win = offline_window(off, GridMap.blank(0.2, off.origin_x - 2.0, off.origin_y, 50, 50))

@@ -4,6 +4,7 @@ import math
 import struct
 import sys
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import given, reject, strategies as st
@@ -168,6 +169,31 @@ class TestApplyDecay:
         off = GridMap(0.5, 1.0, 0.0, np.zeros((6, 7)))
         with pytest.raises(AlignmentError):
             apply_decay(on, off, DecayParams(10.0, 1.0))
+
+    # signed zeros, subnormals and the clamp bounds beside ordinary values
+    CELLS = hnp.arrays(np.float64, (4, 5), elements=st.one_of(
+        st.floats(L_MIN, L_MAX),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, L_MIN, L_MAX])))
+
+    @given(CELLS, CELLS, st.floats(0.0, 1e3), st.floats(0.0, 1e3))
+    def test_in_place_matches_out_of_place(self, on, off, w_on, w_off):
+        try:
+            p = DecayParams(w_on, w_off)
+        except ParameterError:
+            reject()
+        grid = GridMap(0.5, 0.0, 0.0, on.copy())
+        apply_decay(grid, GridMap(0.5, 0.0, 0.0, off), p)
+        # bit for bit, the sign of a zero included
+        assert grid.values.tobytes() == decay_cell(on, off, p).tobytes()
+        assert grid.values.tobytes() == (off + (on - off) * p.retention).tobytes()
+
+    @given(CELLS)
+    def test_decay_toward_itself_is_the_identity(self, values):
+        grid = GridMap(0.5, 0.0, 0.0, values.copy())
+        apply_decay(grid, grid, DecayParams(10.0, 1.0))
+        # -0.0 becomes 0.0, as it does out of place: -0.0 + 0.0 is 0.0
+        assert np.array_equal(grid.values, values)
+        assert grid.values.tobytes() == decay_cell(values, values, DecayParams(10.0, 1.0)).tobytes()
 
 
 class TestGridMap:

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import struct
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from mapdecay import (
+    AlignmentError,
     ConfigError,
     DecayParams,
     DomainError,
@@ -27,6 +29,8 @@ from mapdecay import (
     L_MAX,
     L_MIN,
     L_OCC,
+    apply_decay,
+    apply_instant,
     config_from_dict,
     load_config,
     occupancy_iou,
@@ -37,7 +41,11 @@ from mapdecay import (
     write_map,
 )
 from mapdecay.cli import main
+from mapdecay.instant import InstantMap
 from mapdecay.scenario import build_offline_phase, compute_trace_region
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 class TestConfigValidation:
@@ -362,6 +370,113 @@ class TestRunScenario:
         assert (ys < 6.0).all()          # never inside the wall band
         assert (xs < 3.0 - 0.6).all()    # parked footprint excluded
         assert offline.values[rows, cols].max() < 0.0
+
+
+def _parent_rect_cells(grid, x_min, y_min, x_max, y_max):
+    c0, r0 = grid.cell_of(x_min, y_min)
+    c1, r1 = grid.cell_of(x_max, y_max)
+    return max(c0, 0), min(c1 + 1, grid.width), max(r0, 0), min(r1 + 1, grid.height)
+
+
+def _parent_footprint_cells(obj, t, grid, margin=0.0):
+    """The footprint rasteriser as it was: one meshgrid per object and time."""
+    corners = obj.footprint_corners(t)
+    c0, c1, r0, r1 = _parent_rect_cells(grid, corners[:, 0].min() - margin,
+                                        corners[:, 1].min() - margin,
+                                        corners[:, 0].max() + margin,
+                                        corners[:, 1].max() + margin)
+    cols, rows = np.meshgrid(np.arange(c0, c1), np.arange(r0, r1))
+    cx, cy = grid.center_of(cols, rows)
+    pose = obj.pose_at(t)
+    ca, sa = math.cos(-pose.yaw), math.sin(-pose.yaw)
+    lx = ca * (cx - pose.x) - sa * (cy - pose.y)
+    ly = sa * (cx - pose.x) + ca * (cy - pose.y)
+    inside = ((np.abs(lx) <= obj.length / 2.0 + margin)
+              & (np.abs(ly) <= obj.width / 2.0 + margin))
+    return rows[inside], cols[inside]
+
+
+def _parent_trace_region(cfg, offline):
+    """compute_trace_region as it was, one footprint per object and tick."""
+    mask = np.zeros(offline.shape, dtype=bool)
+    for obj in cfg.world.dynamic_objects:
+        for k in range(cfg.n_ticks):
+            mask[_parent_footprint_cells(obj, k / cfg.tick_rate, offline)] = True
+    mask &= offline.observed & (offline.values < 0.0)
+    t_end = (cfg.n_ticks - 1) / cfg.tick_rate
+    margin = 3.0 * offline.resolution
+    for obj in cfg.world.dynamic_objects:
+        mask[_parent_footprint_cells(obj, 0.0, offline, margin=margin)] = False
+        mask[_parent_footprint_cells(obj, t_end, offline, margin=margin)] = False
+    for box in cfg.world.static_boxes:
+        c0, c1, r0, r1 = _parent_rect_cells(offline, box.x_min, box.y_min, box.x_max,
+                                            box.y_max)
+        mask[r0:r1, c0:c1] = False
+    return np.nonzero(mask)
+
+
+@pytest.mark.parametrize("name", ["mini", "overtake", "drive", "crowd"])
+def test_trace_region_matches_one_footprint_per_tick(name):
+    raw = copy.deepcopy(conftest.MINI_CONFIG) if name == "mini" else workloads.make_config(name, 0)
+    cfg = config_from_dict(raw)
+    # a prior that is observed and free everywhere keeps every footprint cell
+    offline = cfg.offline_grid()
+    offline.values[:] = -1.0
+    offline.observed[:] = True
+    rows, cols = compute_trace_region(cfg, offline)
+    expect_rows, expect_cols = _parent_trace_region(cfg, offline)
+    assert len(rows) > 80
+    assert np.array_equal(rows, expect_rows) and np.array_equal(cols, expect_cols)
+
+
+def test_static_box_beyond_the_extent_excludes_nothing(mini_dict):
+    # the box lies in the world but west of the extent's low edge
+    offline = config_from_dict(mini_dict).offline_grid()
+    offline.values[:] = -1.0
+    offline.observed[:] = True
+    before = compute_trace_region(config_from_dict(mini_dict), offline)
+    mini_dict["world"]["static_boxes"].append(
+        {"x_min": -29.0, "x_max": -27.0, "y_min": 1.0, "y_max": 3.0, "z_top": 2.0})
+    after = compute_trace_region(config_from_dict(mini_dict), offline)
+    assert len(before[0]) > 80
+    assert np.array_equal(before[0], after[0]) and np.array_equal(before[1], after[1])
+
+
+class TestLatticeRule:
+    """Every call site takes two grids to cover the same cells when they have
+    one shape and ``offset_in`` is (0, 0): origins within 1e-6 cells."""
+
+    @pytest.mark.parametrize("shift, accepted", [(1e-8, True), (2e-4, False)],
+                             ids=["1e-8_m", "1e-3_cells"])
+    @pytest.mark.parametrize("site", ["apply_decay", "apply_instant", "prebuilt_offline",
+                                      "diff"])
+    def test_origin_tolerance(self, run, tmp_path, capsys, site, shift, accepted):
+        cfg, out, _ = run
+        grid = read_map(out / "offline.ogm")
+        moved = GridMap(grid.resolution, grid.origin_x + shift, grid.origin_y,
+                        grid.values.copy(), grid.observed.copy())
+        if site == "diff":
+            write_map(grid, tmp_path / "a.ogm")
+            write_map(moved, tmp_path / "b.ogm")
+            assert main(["diff", str(tmp_path / "a.ogm"), str(tmp_path / "b.ogm")]) == (
+                0 if accepted else 1)
+            assert ("differing_cells=0" if accepted else "extent mismatch") in (
+                capsys.readouterr().out)
+            return
+        calls = {
+            "apply_decay": lambda: apply_decay(moved, grid, cfg.decay),
+            "apply_instant": lambda: apply_instant(moved, InstantMap(
+                grid.resolution, grid.origin_x, grid.origin_y,
+                np.zeros(grid.shape, dtype=np.uint8))),
+            "prebuilt_offline": lambda: run_scenario(
+                dataclasses.replace(cfg, duration=0.25), offline=moved,
+                output_dir=str(tmp_path / "out")),
+        }
+        if accepted:
+            calls[site]()
+        else:
+            with pytest.raises(AlignmentError):
+                calls[site]()
 
 
 class TestCli:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from mapdecay import (
     interpolate_pose,
     simulate_sweep,
 )
-from mapdecay.world import TAU, _box_enter_t, normalize_angle
+from mapdecay.world import TAU, _box_enter_t, normalize_angle, ray_geometry
 
 
 def flat_world(boxes=(), objects=()):
@@ -31,6 +32,19 @@ def small_sensor(**kw):
                 azimuth_steps=36, max_range=40.0, mount_height=2.0)
     args.update(kw)
     return SensorConfig(**args)
+
+
+def sweep_points(sweep, ground_z=0.0):
+    """(n_scans, n_beams, 3) return points derived from the ranges through
+    ``ray_geometry``, NaN where there is no return."""
+    origin, cos_a, sin_a, cos_e, sin_e = ray_geometry(sweep.ego_pose, sweep.sensor, ground_z)
+    returned = np.isfinite(sweep.ranges)
+    safe = np.where(returned, sweep.ranges, 0.0)
+    points = np.stack([origin[0] + safe * (cos_a[:, None] * cos_e[None, :]),
+                       origin[1] + safe * (sin_a[:, None] * cos_e[None, :]),
+                       origin[2] + safe * sin_e[None, :]], axis=-1)
+    points[~returned] = np.nan
+    return points
 
 
 class TestAngles:
@@ -88,7 +102,7 @@ class TestGroundReturns:
         cfg = small_sensor(vertical_angles=np.radians([-20.0, 0.0, 2.0, 5.0]))
         sweep = simulate_sweep(flat_world(), Pose(0, 0, 0, 0), cfg)
         assert np.isinf(sweep.ranges[:, 1:]).all()
-        assert np.isnan(sweep.hit_points[:, 1:]).all()
+        assert np.isnan(sweep_points(sweep)[:, 1:]).all()
 
     def test_max_range_cutoff(self):
         cfg = small_sensor(max_range=5.0)
@@ -99,7 +113,7 @@ class TestGroundReturns:
         # the innermost ground return sits where the steepest beam lands
         cfg = small_sensor()
         sweep = simulate_sweep(flat_world(), Pose(0, 0, 0, 0), cfg)
-        ground = sweep.hit_points[np.isfinite(sweep.ranges)]
+        ground = sweep_points(sweep)[np.isfinite(sweep.ranges)]
         r = np.hypot(ground[:, 0], ground[:, 1])
         assert r.min() == pytest.approx(2.0 / math.tan(math.radians(20.0)), rel=1e-9)
 
@@ -173,7 +187,7 @@ class TestSweepBehavior:
         a = simulate_sweep(w, Pose(0, 0, 0, 0), small_sensor())
         b = simulate_sweep(w, Pose(0, 0, 0, 0), small_sensor())
         np.testing.assert_array_equal(a.ranges, b.ranges)
-        np.testing.assert_array_equal(a.hit_points, b.hit_points)
+        np.testing.assert_array_equal(sweep_points(a), sweep_points(b))
 
     def test_noise_is_seeded(self):
         cfg = small_sensor(noise_sigma=0.05)
@@ -193,7 +207,7 @@ class TestSweepBehavior:
                                Pose(1.0, -2.0, 0.7, 0.0), small_sensor())
         fin = np.isfinite(sweep.ranges)
         d = np.linalg.norm(
-            sweep.hit_points[fin] - np.array([1.0, -2.0, 2.0]), axis=-1)
+            sweep_points(sweep)[fin] - np.array([1.0, -2.0, 2.0]), axis=-1)
         np.testing.assert_allclose(d, sweep.ranges[fin], rtol=1e-9)
 
     def test_yaw_rotates_azimuths(self):
@@ -225,6 +239,24 @@ class TestSweepBehavior:
         # an inverted or flat box would never be hit by the slab test
         with pytest.raises(ParameterError, match="x_min < x_max"):
             Box(*bounds, 3.0)
+
+
+def parent_hit_points(world, ego, cfg, ranges):
+    """The points a sweep used to store beside its ranges, by that code."""
+    n_az = cfg.azimuth_steps
+    azimuths = ego.yaw + np.arange(n_az) * (TAU / n_az)
+    elev = cfg.vertical_angles
+    cos_e, sin_e = np.cos(elev), np.sin(elev)
+    cos_a, sin_a = np.cos(azimuths), np.sin(azimuths)
+    dirs = np.empty((n_az, len(elev), 3))
+    dirs[:, :, 0] = cos_a[:, None] * cos_e[None, :]
+    dirs[:, :, 1] = sin_a[:, None] * cos_e[None, :]
+    dirs[:, :, 2] = sin_e[None, :]
+    origin = np.array([ego.x, ego.y, world.ground_z + cfg.mount_height])
+    safe = np.where(np.isfinite(ranges), ranges, 0.0)
+    hits = origin[None, None, :] + safe[:, :, None] * dirs
+    hits[~np.isfinite(ranges)] = np.nan
+    return hits
 
 
 def full_slab_sweep(world, ego, cfg, rng=None):
@@ -262,10 +294,7 @@ def full_slab_sweep(world, ego, cfg, rng=None):
         noise = rng.normal(0.0, cfg.noise_sigma, best.shape)
         best = np.where(np.isfinite(best), np.maximum(best + noise, 1e-3), best)
     ranges = np.where(best <= cfg.max_range, best, np.inf)
-    safe = np.where(np.isfinite(ranges), ranges, 0.0)
-    hits = origin[None, None, :] + safe[:, :, None] * dirs
-    hits[~np.isfinite(ranges)] = np.nan
-    return ranges, hits
+    return ranges, parent_hit_points(world, ego, cfg, ranges)
 
 
 @st.composite
@@ -343,4 +372,17 @@ class TestBoxCulling:
         sweep = simulate_sweep(world, ego, cfg, np.random.default_rng(seed))
         ranges, hits = full_slab_sweep(world, ego, cfg, np.random.default_rng(seed))
         assert np.array_equal(sweep.ranges, ranges, equal_nan=True)
-        assert np.array_equal(sweep.hit_points, hits, equal_nan=True)
+        assert np.array_equal(sweep_points(sweep), hits, equal_nan=True)
+
+
+class TestDerivedPoints:
+    @settings(max_examples=150, deadline=None)
+    @given(culling_cases(), st.floats(-2.0, 0.4), st.floats(0.1, 5.0))
+    def test_match_the_stored_points(self, case, ground_z, mount_height):
+        world, ego, cfg, seed = case
+        world = World(ground_z, world.bounds, world.static_boxes, world.dynamic_objects)
+        cfg = dataclasses.replace(cfg, mount_height=mount_height)
+        sweep = simulate_sweep(world, ego, cfg, np.random.default_rng(seed))
+        assert sweep.sensor is cfg
+        assert np.array_equal(sweep_points(sweep, ground_z),
+                              parent_hit_points(world, ego, cfg, sweep.ranges), equal_nan=True)
