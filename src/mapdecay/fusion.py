@@ -3,8 +3,8 @@
 The offline map accumulates instantaneous maps over a logged pass and is
 cleaned by removing small occupied components (an automated stand-in for
 manual post-processing).  The online map is a square window recentered on the
-ego vehicle, initialized from the offline map; each step decays the whole
-window toward the offline values before folding in the new sweep.
+ego vehicle, initialized from the offline map; each step decays the window
+toward the offline values before folding in the new sweep.
 """
 
 from __future__ import annotations
@@ -16,8 +16,11 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import LogError, ParameterError, ScenarioError
-from .grid import DecayParams, GridMap, apply_decay, logodds_from_prob
+from .grid import DecayParams, GridMap, apply_decay, deviates, logodds_from_prob
 from .instant import (
+    KIND_FREE_SET,
+    KIND_OCCUPIED,
+    KIND_UNTOUCHED,
     L_FREE_SET,
     ObstacleThresholds,
     InstantMap,
@@ -65,8 +68,15 @@ def clean_offline(grid: GridMap, params: CleanParams) -> GridMap:
 
 @dataclass
 class OnlineMap:
-    """The runtime map: a cell-snapped square window over the offline extent."""
+    """The runtime map: a cell-snapped square window over the offline extent.
+
+    Every cell outside ``deviating`` equals its prior value and is left bit
+    for bit by a decay step (see :func:`deviates`), so code that writes
+    ``grid.values`` must mark what it writes.  ``unlike_free`` marks the
+    offline cells whose prior is not exactly ``L_FREE_SET``."""
     grid: GridMap
+    deviating: np.ndarray
+    unlike_free: np.ndarray
 
 
 def _snapped_cell(offline: GridMap, ego: Pose, window_cells: int) -> tuple[int, int]:
@@ -77,44 +87,57 @@ def _snapped_cell(offline: GridMap, ego: Pose, window_cells: int) -> tuple[int, 
             round((ego.y - half - offline.origin_y) / res))
 
 
-def _paste(dst: GridMap, src: GridMap) -> None:
-    """Copy values and flags of the cells ``dst`` shares with ``src``.
-
-    Both grids lie on the same lattice; cells of ``dst`` outside ``src`` keep
-    what they hold.
-    """
+def _shared(dst: GridMap, src: GridMap):
+    """The cells ``dst`` shares with ``src`` on their lattice, indexing each."""
     dc, dr = dst.offset_in(src)
-    c0, c1 = max(dc, 0), min(dc + dst.width, src.width)
-    r0, r1 = max(dr, 0), min(dr + dst.height, src.height)
-    if c0 < c1 and r0 < r1:
-        dst.values[r0 - dr:r1 - dr, c0 - dc:c1 - dc] = src.values[r0:r1, c0:c1]
-        dst.observed[r0 - dr:r1 - dr, c0 - dc:c1 - dc] = src.observed[r0:r1, c0:c1]
+    c0, r0 = max(dc, 0), max(dr, 0)
+    c1 = max(min(dc + dst.width, src.width), c0)
+    r1 = max(min(dr + dst.height, src.height), r0)
+    return np.s_[r0 - dr:r1 - dr, c0 - dc:c1 - dc], np.s_[r0:r1, c0:c1]
+
+
+def prior_cells(layer: np.ndarray, offline: GridMap, grid: GridMap, fill) -> np.ndarray:
+    """``layer``, an array over ``offline``'s cells, over ``grid``'s: a read-only
+    view inside the offline extent, else a copy holding ``fill`` outside it."""
+    mine, theirs = _shared(grid, offline)
+    cut = layer[theirs]
+    if cut.shape == grid.shape:
+        cut.flags.writeable = False
+        return cut
+    window = np.full(grid.shape, fill, dtype=layer.dtype)
+    window[mine] = cut
+    return window
 
 
 def offline_window(offline: GridMap, grid: GridMap) -> GridMap:
-    """Offline values and flags over ``grid``'s cells, which lie on the offline
-    lattice: read-only views of ``offline`` inside its extent, else a fresh copy
-    whose out-of-extent cells are 0.0 and unobserved."""
-    dc, dr = grid.offset_in(offline)
-    if 0 <= dc <= offline.width - grid.width and 0 <= dr <= offline.height - grid.height:
-        cells = np.s_[dr:dr + grid.height, dc:dc + grid.width]
-        window = GridMap(grid.resolution, grid.origin_x, grid.origin_y,
-                         offline.values[cells], offline.observed[cells])
-        window.values.flags.writeable = window.observed.flags.writeable = False
-        return window
-    window = GridMap(grid.resolution, grid.origin_x, grid.origin_y, np.zeros(grid.shape))
-    _paste(window, offline)
-    return window
+    """Offline values and flags over ``grid``'s cells, by :func:`prior_cells`:
+    out-of-extent cells are 0.0 and unobserved."""
+    return GridMap(grid.resolution, grid.origin_x, grid.origin_y,
+                   prior_cells(offline.values, offline, grid, 0.0),
+                   prior_cells(offline.observed, offline, grid, False))
 
 
-def _unseen_window(offline: GridMap, cell: tuple[int, int], cells: int) -> GridMap:
-    """An unobserved square of offline values from ``offline``'s (col, row) ``cell``."""
-    res = offline.resolution
-    window = GridMap.blank(res, offline.origin_x + cell[0] * res,
-                           offline.origin_y + cell[1] * res, cells, cells)
-    _paste(window, offline)
-    window.observed[:] = False
-    return window
+def _move(online: OnlineMap, offline: GridMap, cell: tuple[int, int], cells: int) -> None:
+    """Make the window ``cells`` square from ``offline``'s (col, row) ``cell``.
+    Staying cells keep their values, flags and marks; entering cells load the
+    prior, unobserved, and are marked where a prior -0.0 deviates."""
+    old, res = online.grid, offline.resolution
+    new = GridMap(res, offline.origin_x + cell[0] * res, offline.origin_y + cell[1] * res,
+                  np.empty((cells, cells)), np.zeros((cells, cells), dtype=bool))
+    deviating = np.empty(new.shape, dtype=bool)
+    kept, there = _shared(new, old)
+    new.values[kept] = old.values[there]
+    new.observed[kept] = old.observed[there]
+    deviating[kept] = online.deviating[there]
+    prior = prior_cells(offline.values, offline, new, 0.0)
+    rows, cols = kept
+    for entering in (np.s_[:rows.start], np.s_[rows.stop:],
+                     np.s_[rows, :cols.start], np.s_[rows, cols.stop:]):
+        new.values[entering] = prior[entering]
+        deviating[entering] = deviates(prior[entering], prior[entering])
+    old.values, old.observed = new.values, new.observed
+    old.origin_x, old.origin_y = new.origin_x, new.origin_y
+    online.deviating = deviating
 
 
 def online_init(offline: GridMap, ego: Pose, window_size: float) -> OnlineMap:
@@ -122,7 +145,10 @@ def online_init(offline: GridMap, ego: Pose, window_size: float) -> OnlineMap:
     if not offline.contains_point(ego.x, ego.y):
         raise ScenarioError("ego pose lies outside the offline map extent")
     cells = max(1, round(window_size / offline.resolution))
-    return OnlineMap(_unseen_window(offline, _snapped_cell(offline, ego, cells), cells))
+    online = OnlineMap(GridMap.blank(offline.resolution, offline.origin_x, offline.origin_y, 0, 0),
+                       np.zeros((0, 0), dtype=bool), offline.values != L_FREE_SET)
+    _move(online, offline, _snapped_cell(offline, ego, cells), cells)
+    return online
 
 
 def recenter(online: OnlineMap, offline: GridMap, ego: Pose) -> None:
@@ -130,12 +156,8 @@ def recenter(online: OnlineMap, offline: GridMap, ego: Pose) -> None:
     exact values and flags; entering cells are loaded fresh from offline."""
     grid = online.grid
     cell = _snapped_cell(offline, ego, grid.width)
-    if cell == grid.offset_in(offline):
-        return
-    moved = _unseen_window(offline, cell, grid.width)
-    _paste(moved, grid)
-    grid.values, grid.observed = moved.values, moved.observed
-    grid.origin_x, grid.origin_y = moved.origin_x, moved.origin_y
+    if cell != grid.offset_in(offline):
+        _move(online, offline, cell, grid.width)
 
 
 def online_step(online: OnlineMap, offline: GridMap, sweep: Sweep,
@@ -144,13 +166,21 @@ def online_step(online: OnlineMap, offline: GridMap, sweep: Sweep,
     """One 20 Hz-style cycle: recenter, decay once, then integrate the sweep.
 
     Decay runs before the occupancy update, so a cell both decayed and hit in
-    the same step ends at update(decay(v)).  Returns the instantaneous map
-    that was applied.
+    the same step ends at update(decay(v)).  ``offline`` is the map the window
+    was made from.  Returns the instantaneous map that was applied.
     """
     recenter(online, offline, sweep.ego_pose)
-    grid = online.grid
+    grid, deviating = online.grid, online.deviating
     if decay.enabled:
-        apply_decay(grid, offline_window(offline, grid), decay)
+        cells = np.flatnonzero(deviating)
+        np.put(deviating, cells, apply_decay(grid, offline_window(offline, grid), decay, cells))
     inst = build_instant_map(sweep, grid, ground_z, thresholds)
     apply_instant(grid, inst)
+    # a touched cell deviates afresh: a free one where the prior is not
+    # L_FREE_SET, an occupied one where its new value differs from the prior
+    deviating &= inst.kind == KIND_UNTOUCHED
+    deviating |= (inst.kind == KIND_FREE_SET) & prior_cells(online.unlike_free, offline,
+                                                            grid, True)
+    at = np.divmod(np.flatnonzero(inst.kind == KIND_OCCUPIED), grid.width)
+    deviating[at] = deviates(grid.values[at], prior_cells(offline.values, offline, grid, 0.0)[at])
     return inst

@@ -83,18 +83,18 @@ class DecayParams:
         return self.w_on / (self.w_on + self.w_off)
 
 
-def decay_cell(on, off, params: DecayParams, out=None):
+def decay_cell(on, off, params: DecayParams):
     """One decay step, ``off + (on - off) * retention``: the weighted average of
-    the online and offline values, elementwise on arrays, written into the
-    array ``out`` when one is given.  ``decay_cell(v, v, p)`` is exactly ``v``;
-    for values in ``[L_MIN, L_MAX]`` and ``retention < 1`` the result lies
-    between ``on`` and ``off``.  Observed flags are not touched.
-    """
-    off = np.copy(off) if np.may_share_memory(out, off) else off  # read after out is set
-    dev = np.subtract(on, off, out=out)
-    dev *= params.retention
-    dev += off
-    return dev
+    the online and offline values, elementwise on arrays.  ``decay_cell(v, v, p)``
+    is exactly ``v`` up to the sign of a zero; for values in ``[L_MIN, L_MAX]``
+    and ``retention < 1`` the result lies between ``on`` and ``off``."""
+    return off + (on - off) * params.retention
+
+
+def deviates(on, off):
+    """Where ``on`` differs from ``off`` or is a -0.0 (a decay step toward an
+    equal ``off`` makes it +0.0); elsewhere decay leaves ``on`` bit for bit."""
+    return (on != off) | (on == 0.0) & np.signbit(on)
 
 
 def decay_cell_pow(on: float, off: float, params: DecayParams, k: int) -> float:
@@ -190,16 +190,20 @@ class GridMap:
         return round(cells[0]), round(cells[1])
 
 
-def apply_decay(grid: GridMap, offline: GridMap, params: DecayParams) -> None:
-    """Decay every cell of ``grid`` toward the corresponding ``offline`` cell.
-
-    A pure per-cell operation: results are independent of traversal order.
+def apply_decay(grid: GridMap, offline: GridMap, params: DecayParams,
+                cells: np.ndarray) -> np.ndarray:
+    """Decay the ``cells`` (flat indices) of ``grid`` toward the same cells of
+    ``offline`` through :func:`decay_cell`, in place, and return whether each
+    still :func:`deviates`.  Results are independent of traversal order.
     Observed flags are left untouched, and ``params.enabled`` is not read.
-    The values are decayed in place.
     """
     if not (grid.shape == offline.shape and grid.offset_in(offline) == (0, 0)):
         raise AlignmentError("online and offline grids must share extent and resolution")
-    decay_cell(grid.values, offline.values, params, out=grid.values)
+    at = np.divmod(cells, grid.width)
+    off = offline.values[at]
+    on = decay_cell(grid.values[at], off, params)
+    grid.values[at] = on
+    return deviates(on, off)
 
 
 def check_values(grid: GridMap, name: str) -> GridMap:

@@ -29,6 +29,7 @@ from .fusion import (
     offline_window,
     online_init,
     online_step,
+    prior_cells,
 )
 from .world import (
     Box,
@@ -495,6 +496,9 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap], out: Path,
     static_total = np.zeros(cfg.n_ticks, dtype=np.int64)
     static_ok = np.zeros(cfg.n_ticks, dtype=np.int64)
     occ_cut = logodds_from_prob(0.9)
+    # prior classes: occupied; and observed; and above occ_cut
+    static = (offline.values > 0.0) & offline.observed
+    classes = (offline.values > 0.0, static, static & (offline.values > occ_cut))
 
     for k in range(cfg.n_ticks):
         t_start = time.perf_counter()
@@ -517,14 +521,21 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap], out: Path,
         last_observed[touched] = k
 
         observed_cells[k] = np.count_nonzero(grid.observed)
-        off_win = offline_window(offline, grid)
-        iou[k] = occupancy_iou(grid.values, off_win.values, grid.observed)
-        static = off_win.values > 0.0
-        static &= off_win.observed
-        static &= grid.observed
-        static_total[k] = np.count_nonzero(static)
-        static &= grid.values > occ_cut
-        static_ok[k] = np.count_nonzero(static)
+        # off the deviating cells the window holds the prior's values: count the
+        # prior classes over the observed cells, then correct at those cells
+        n_occ, static_total[k], n_held = (
+            np.count_nonzero(prior_cells(c, offline, grid, False) & grid.observed)
+            for c in classes)
+        prior = offline_window(offline, grid)
+        at = np.divmod(np.flatnonzero(online.deviating), grid.width)
+        on, off, seen = grid.values[at], prior.values[at], grid.observed[at]
+        on_occ, off_occ = (on > 0.0) & seen, (off > 0.0) & seen
+        shared = n_occ - np.count_nonzero(off_occ)
+        union = shared + np.count_nonzero(on_occ | off_occ)
+        iou[k] = (shared + np.count_nonzero(on_occ & off_occ)) / union if union else 1.0
+        off_occ &= prior.observed[at]
+        static_ok[k] = (n_held + np.count_nonzero(off_occ & (on > occ_cut))
+                        - np.count_nonzero(off_occ & (off > occ_cut)))
 
         if k % cfg.render_stride == 0:
             frame = frames_dir / f"frame_{k:06d}.ppm"

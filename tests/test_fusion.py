@@ -167,8 +167,9 @@ class TestOnlineWindow:
         online.grid.values[:] = np.random.default_rng(4).uniform(L_MIN, L_MAX, (100, 100))
         on_view, on_copy = online.grid, online.grid.copy()
         win = offline_window(off, on_view)
-        apply_decay(on_view, win, DecayParams(10.0, 1.0))
-        apply_decay(on_copy, win.copy(), DecayParams(10.0, 1.0))
+        every = np.arange(on_view.values.size)
+        apply_decay(on_view, win, DecayParams(10.0, 1.0), every)
+        apply_decay(on_copy, win.copy(), DecayParams(10.0, 1.0), every)
         assert np.array_equal(on_view.values, on_copy.values)
 
     def test_decay_leaves_the_read_only_prior_unchanged(self):
@@ -177,7 +178,7 @@ class TestOnlineWindow:
         online = online_init(off, Pose(3.0, -2.0, 0, 0), window_size=20.0)
         online.grid.values[:] = np.random.default_rng(5).uniform(L_MIN, L_MAX, (100, 100))
         win = offline_window(off, online.grid)
-        apply_decay(online.grid, win, DecayParams(10.0, 1.0))
+        apply_decay(online.grid, win, DecayParams(10.0, 1.0), np.arange(win.values.size))
         assert not win.values.flags.writeable and np.shares_memory(win.values, off.values)
         assert off.values.tobytes() == before.values.tobytes()
         np.testing.assert_array_equal(off.observed, before.observed)
@@ -272,6 +273,7 @@ class TestOnlineStep:
         r, c = np.argwhere(inst0.kind == KIND_OCCUPIED)[0]
         g = online.grid
         g.values[r, c] = 0.0
+        online.deviating[r, c] = True
         win = offline_window(offline, g)
         off_v = win.values[r, c]
         expect = (0.0 * 10 + off_v * 1) / 11.0 + L_OCC
@@ -286,6 +288,7 @@ class TestOnlineStep:
         r, c = g.cell_of(1.0, 1.0)[1], g.cell_of(1.0, 1.0)[0]
         win = offline_window(offline, g)
         g.values[r, c] = win.values[r, c] + 8.0
+        online.deviating[r, c] = True
         sweep = simulate_sweep(mini_cfg.world.without_dynamic(), Pose(0, 0, 0, 0),
                                mini_cfg.sensor)
         decay = DecayParams(10.0, 1.0)

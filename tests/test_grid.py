@@ -142,6 +142,8 @@ class TestDecayCell:
 
 
 class TestApplyDecay:
+    ALL_CELLS = np.arange(6 * 7)
+
     def _pair(self):
         rng = np.random.default_rng(11)
         on = GridMap(0.5, 0.0, 0.0, rng.uniform(-10, 10, (6, 7)))
@@ -155,20 +157,20 @@ class TestApplyDecay:
         for r in range(6):
             for c in range(7):
                 expect[r, c] = decay_cell(on.values[r, c], off.values[r, c], p)
-        apply_decay(on, off, p)
+        apply_decay(on, off, p, self.ALL_CELLS)
         np.testing.assert_allclose(on.values, expect, rtol=1e-15)
 
     def test_observed_flags_untouched(self):
         on, off = self._pair()
         on.observed[2, 3] = True
-        apply_decay(on, off, DecayParams(10.0, 1.0))
+        apply_decay(on, off, DecayParams(10.0, 1.0), self.ALL_CELLS)
         assert on.observed[2, 3] and on.observed.sum() == 1
 
     def test_extent_mismatch_rejected(self):
         on, _ = self._pair()
         off = GridMap(0.5, 1.0, 0.0, np.zeros((6, 7)))
         with pytest.raises(AlignmentError):
-            apply_decay(on, off, DecayParams(10.0, 1.0))
+            apply_decay(on, off, DecayParams(10.0, 1.0), self.ALL_CELLS)
 
     # signed zeros, subnormals and the clamp bounds beside ordinary values
     CELLS = hnp.arrays(np.float64, (4, 5), elements=st.one_of(
@@ -182,7 +184,7 @@ class TestApplyDecay:
         except ParameterError:
             reject()
         grid = GridMap(0.5, 0.0, 0.0, on.copy())
-        apply_decay(grid, GridMap(0.5, 0.0, 0.0, off), p)
+        apply_decay(grid, GridMap(0.5, 0.0, 0.0, off), p, np.arange(on.size))
         # bit for bit, the sign of a zero included
         assert grid.values.tobytes() == decay_cell(on, off, p).tobytes()
         assert grid.values.tobytes() == (off + (on - off) * p.retention).tobytes()
@@ -190,7 +192,7 @@ class TestApplyDecay:
     @given(CELLS)
     def test_decay_toward_itself_is_the_identity(self, values):
         grid = GridMap(0.5, 0.0, 0.0, values.copy())
-        apply_decay(grid, grid, DecayParams(10.0, 1.0))
+        apply_decay(grid, grid, DecayParams(10.0, 1.0), np.arange(values.size))
         # -0.0 becomes 0.0, as it does out of place: -0.0 + 0.0 is 0.0
         assert np.array_equal(grid.values, values)
         assert grid.values.tobytes() == decay_cell(values, values, DecayParams(10.0, 1.0)).tobytes()

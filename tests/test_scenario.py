@@ -464,7 +464,7 @@ class TestLatticeRule:
                 capsys.readouterr().out)
             return
         calls = {
-            "apply_decay": lambda: apply_decay(moved, grid, cfg.decay),
+            "apply_decay": lambda: apply_decay(moved, grid, cfg.decay, np.arange(grid.values.size)),
             "apply_instant": lambda: apply_instant(moved, InstantMap(
                 grid.resolution, grid.origin_x, grid.origin_y,
                 np.zeros(grid.shape, dtype=np.uint8))),
@@ -536,6 +536,16 @@ class TestCli:
         assert rc == 0
         assert "trace_persistence=" in capsys.readouterr().out
         assert (tmp_path / "out" / "metrics.csv").exists()
+        # the prior read back from its file gives the run of a plain `run`
+        assert main(["run", str(cfg), "--output", str(tmp_path / "plain")]) == 0
+        written = sorted(p.relative_to(tmp_path / "out")
+                         for p in (tmp_path / "out").rglob("*") if p.is_file())
+        plain = sorted(p.relative_to(tmp_path / "plain")
+                       for p in (tmp_path / "plain").rglob("*") if p.is_file())
+        assert written == plain and len(written) > 3
+        for name in written:
+            assert (tmp_path / "out" / name).read_bytes() == (
+                tmp_path / "plain" / name).read_bytes(), name
 
     def test_run_rejects_offline_on_another_lattice(self, mini_dict, tmp_path, capsys):
         off = tmp_path / "coarse.ogm"
