@@ -18,9 +18,6 @@ from scipy import ndimage
 from .errors import LogError, ParameterError, ScenarioError
 from .grid import DecayParams, GridMap, apply_decay, deviates, logodds_from_prob
 from .instant import (
-    KIND_FREE_SET,
-    KIND_OCCUPIED,
-    KIND_UNTOUCHED,
     L_FREE_SET,
     ObstacleThresholds,
     InstantMap,
@@ -42,7 +39,7 @@ class CleanParams:
             raise ParameterError("min_component_cells must be at least 1")
 
 
-def build_offline(sweeps: Iterable[Sweep], grid: GridMap, ground_z: float,
+def build_offline(sweeps: Iterable[Sweep], grid: GridMap,
                   thresholds: ObstacleThresholds) -> None:
     """Integrate a logged pass, in time order, into ``grid`` in place."""
     last_t = None
@@ -50,7 +47,7 @@ def build_offline(sweeps: Iterable[Sweep], grid: GridMap, ground_z: float,
         if last_t is not None and sweep.ego_pose.t <= last_t:
             raise LogError("log sweep timestamps must be strictly increasing")
         last_t = sweep.ego_pose.t
-        apply_instant(grid, build_instant_map(sweep, grid, ground_z, thresholds))
+        apply_instant(grid, build_instant_map(sweep, grid, thresholds))
 
 
 def clean_offline(grid: GridMap, params: CleanParams) -> GridMap:
@@ -68,13 +65,15 @@ def clean_offline(grid: GridMap, params: CleanParams) -> GridMap:
 
 @dataclass
 class OnlineMap:
-    """The runtime map: a cell-snapped square window over the offline extent.
+    """The runtime map: a cell-snapped square window over the extent of
+    ``prior``, the offline map it was cut from.
 
     Every cell outside ``deviating`` equals its prior value and is left bit
     for bit by a decay step (see :func:`deviates`), so code that writes
     ``grid.values`` must mark what it writes.  ``unlike_free`` marks the
-    offline cells whose prior is not exactly ``L_FREE_SET``."""
+    prior's cells that are not exactly ``L_FREE_SET``."""
     grid: GridMap
+    prior: GridMap
     deviating: np.ndarray
     unlike_free: np.ndarray
 
@@ -117,11 +116,11 @@ def offline_window(offline: GridMap, grid: GridMap) -> GridMap:
                    prior_cells(offline.observed, offline, grid, False))
 
 
-def _move(online: OnlineMap, offline: GridMap, cell: tuple[int, int], cells: int) -> None:
-    """Make the window ``cells`` square from ``offline``'s (col, row) ``cell``.
+def _move(online: OnlineMap, cell: tuple[int, int], cells: int) -> None:
+    """Make the window ``cells`` square from the prior's (col, row) ``cell``.
     Staying cells keep their values, flags and marks; entering cells load the
     prior, unobserved, and are marked where a prior -0.0 deviates."""
-    old, res = online.grid, offline.resolution
+    old, offline, res = online.grid, online.prior, online.prior.resolution
     new = GridMap(res, offline.origin_x + cell[0] * res, offline.origin_y + cell[1] * res,
                   np.empty((cells, cells)), np.zeros((cells, cells), dtype=bool))
     deviating = np.empty(new.shape, dtype=bool)
@@ -146,41 +145,39 @@ def online_init(offline: GridMap, ego: Pose, window_size: float) -> OnlineMap:
         raise ScenarioError("ego pose lies outside the offline map extent")
     cells = max(1, round(window_size / offline.resolution))
     online = OnlineMap(GridMap.blank(offline.resolution, offline.origin_x, offline.origin_y, 0, 0),
-                       np.zeros((0, 0), dtype=bool), offline.values != L_FREE_SET)
-    _move(online, offline, _snapped_cell(offline, ego, cells), cells)
+                       offline, np.zeros((0, 0), dtype=bool), offline.values != L_FREE_SET)
+    _move(online, _snapped_cell(offline, ego, cells), cells)
     return online
 
 
-def recenter(online: OnlineMap, offline: GridMap, ego: Pose) -> None:
+def recenter(online: OnlineMap, ego: Pose) -> None:
     """Move the window onto the ego pose.  Cells that stay inside keep their
-    exact values and flags; entering cells are loaded fresh from offline."""
+    exact values and flags; entering cells are loaded fresh from the prior."""
     grid = online.grid
-    cell = _snapped_cell(offline, ego, grid.width)
-    if cell != grid.offset_in(offline):
-        _move(online, offline, cell, grid.width)
+    cell = _snapped_cell(online.prior, ego, grid.width)
+    if cell != grid.offset_in(online.prior):
+        _move(online, cell, grid.width)
 
 
-def online_step(online: OnlineMap, offline: GridMap, sweep: Sweep,
-                decay: DecayParams, ground_z: float,
+def online_step(online: OnlineMap, sweep: Sweep, decay: DecayParams,
                 thresholds: ObstacleThresholds) -> InstantMap:
     """One 20 Hz-style cycle: recenter, decay once, then integrate the sweep.
 
     Decay runs before the occupancy update, so a cell both decayed and hit in
-    the same step ends at update(decay(v)).  ``offline`` is the map the window
-    was made from.  Returns the instantaneous map that was applied.
+    the same step ends at update(decay(v)).  Returns the instantaneous map
+    that was applied.
     """
-    recenter(online, offline, sweep.ego_pose)
-    grid, deviating = online.grid, online.deviating
+    recenter(online, sweep.ego_pose)
+    grid, deviating, offline = online.grid, online.deviating, online.prior
     if decay.enabled:
         cells = np.flatnonzero(deviating)
         np.put(deviating, cells, apply_decay(grid, offline_window(offline, grid), decay, cells))
-    inst = build_instant_map(sweep, grid, ground_z, thresholds)
-    apply_instant(grid, inst)
-    # a touched cell deviates afresh: a free one where the prior is not
+    inst = build_instant_map(sweep, grid, thresholds)
+    free, occ = apply_instant(grid, inst)
+    # a written cell deviates afresh: a free one where the prior is not
     # L_FREE_SET, an occupied one where its new value differs from the prior
-    deviating &= inst.kind == KIND_UNTOUCHED
-    deviating |= (inst.kind == KIND_FREE_SET) & prior_cells(online.unlike_free, offline,
-                                                            grid, True)
-    at = np.divmod(np.flatnonzero(inst.kind == KIND_OCCUPIED), grid.width)
+    deviating &= ~free
+    deviating |= free & prior_cells(online.unlike_free, offline, grid, True)
+    at = np.divmod(occ, grid.width)
     deviating[at] = deviates(grid.values[at], prior_cells(offline.values, offline, grid, 0.0)[at])
     return inst

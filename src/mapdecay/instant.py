@@ -102,7 +102,7 @@ class InstantMap:
         return self.kind.shape
 
 
-def build_instant_map(sweep: Sweep, grid: GridMap, ground_z: float,
+def build_instant_map(sweep: Sweep, grid: GridMap,
                       thresholds: ObstacleThresholds) -> InstantMap:
     """Project one sweep into an instantaneous occupancy map on ``grid``'s
     lattice.
@@ -115,7 +115,8 @@ def build_instant_map(sweep: Sweep, grid: GridMap, ground_z: float,
         raise AlignmentError("instant map extent does not contain the sensor position")
 
     kind = np.zeros(grid.shape, dtype=np.uint8)
-    origin, cos_a, sin_a, cos_e, sin_e = ray_geometry(sweep.ego_pose, sweep.sensor, ground_z)
+    origin, cos_a, sin_a, cos_e, sin_e = ray_geometry(sweep.ego_pose, sweep.sensor,
+                                                      sweep.ground_z)
     dir_x, dir_y = cos_a[:, None] * cos_e, sin_a[:, None] * cos_e
 
     def hit_xy(rays):  # world xy of the returns of the rays that ``rays`` indexes
@@ -124,7 +125,7 @@ def build_instant_map(sweep: Sweep, grid: GridMap, ground_z: float,
 
     returned = np.isfinite(sweep.ranges)
     safe = np.where(returned, sweep.ranges, 0.0)
-    obstacle = obstacle_mask(origin[2] + safe * sin_e, returned, ground_z, thresholds)
+    obstacle = obstacle_mask(origin[2] + safe * sin_e, returned, sweep.ground_z, thresholds)
 
     # free intervals, one per vertical scan with a usable first-beam anchor
     n_az, n_beams = sweep.ranges.shape
@@ -137,9 +138,9 @@ def build_instant_map(sweep: Sweep, grid: GridMap, ground_z: float,
     az = np.arange(n_az)
     start_d = sweep.ranges[az, 0]
     end_d = sweep.ranges[az, end_beam]
-    # hit distances are along unit rays, so horizontal ordering follows them;
-    # an obstacle nearer than the first beam's hit yields an empty interval
-    usable &= np.isfinite(end_d) & (end_d >= start_d)
+    # the end beam has a return when the first does; ranges along unit rays
+    # order hits horizontally, so a nearer obstacle yields an empty interval
+    usable &= end_d >= start_d
 
     starts = np.stack(grid.cell_of(*hit_xy((az[usable], 0))), axis=1)
     # the span ends a hair short of its end hit, so grid-line rounding never
@@ -164,16 +165,19 @@ def build_instant_map(sweep: Sweep, grid: GridMap, ground_z: float,
     return InstantMap(grid.resolution, grid.origin_x, grid.origin_y, kind)
 
 
-def apply_instant(target: GridMap, inst: InstantMap) -> None:
+def apply_instant(target: GridMap, inst: InstantMap) -> tuple[np.ndarray, np.ndarray]:
     """Fold an instantaneous map into ``target``.
 
     Occupied cells get ``L_OCC`` added by :func:`update_cell`; free cells are
     overwritten to ``L_FREE_SET``.  Both mark the cell observed.  Untouched
-    cells are unchanged.
+    cells are unchanged.  Returns the cells written: a bool mask of the free
+    ones and the flat indices of the occupied ones.
     """
     if not (target.shape == inst.shape and target.offset_in(inst) == (0, 0)):
         raise AlignmentError("instant map extent does not match the target grid")
     occ = np.flatnonzero(inst.kind == KIND_OCCUPIED)
+    free = inst.kind == KIND_FREE_SET
     np.put(target.values, occ, update_cell(target.values.take(occ), L_OCC))
-    np.copyto(target.values, L_FREE_SET, where=inst.kind == KIND_FREE_SET)
+    np.copyto(target.values, L_FREE_SET, where=free)
     target.observed |= inst.kind != KIND_UNTOUCHED
+    return free, occ

@@ -443,7 +443,7 @@ def build_offline_phase(cfg: ScenarioConfig) -> GridMap:
     sweeps = (simulate_sweep(world, ego_pose_at(cfg.offline_trajectory, t), cfg.sensor, rng)
               for t in times)
     grid = cfg.offline_grid()
-    build_offline(sweeps, grid, cfg.world.ground_z, cfg.thresholds)
+    build_offline(sweeps, grid, cfg.thresholds)
     return clean_offline(grid, cfg.clean)
 
 
@@ -504,8 +504,7 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap], out: Path,
         t_start = time.perf_counter()
         pose = ego_pose_at(cfg.ego_trajectory, k / cfg.tick_rate)
         sweep = simulate_sweep(cfg.world, pose, cfg.sensor, rng)
-        inst = online_step(online, offline, sweep, cfg.decay, cfg.world.ground_z,
-                           cfg.thresholds)
+        inst = online_step(online, sweep, cfg.decay, cfg.thresholds)
         grid = online.grid
 
         # trace region cells mapped into the current window

@@ -172,10 +172,12 @@ class SensorConfig:
 
 @dataclass
 class Sweep:
-    """One revolution at ``ego_pose`` and its time by ``sensor``: see :func:`ray_geometry`."""
+    """One revolution at ``ego_pose`` and its time by ``sensor`` over a ground
+    plane at ``ground_z``: see :func:`ray_geometry`."""
     ego_pose: Pose
     ranges: np.ndarray              # (n_scans, n_beams), inf = no return
     sensor: SensorConfig
+    ground_z: float
 
 
 def ray_geometry(ego: Pose, cfg: SensorConfig, ground_z: float):
@@ -255,14 +257,12 @@ def simulate_sweep(world: World, ego: Pose, cfg: SensorConfig,
     dirs[:, :, 0] = cos_a[:, None] * cos_e[None, :]
     dirs[:, :, 1] = sin_a[:, None] * cos_e[None, :]
     dirs[:, :, 2] = sin_e[None, :]
-    best = np.full(dirs.shape[:2], np.inf)
 
     # ground plane
     dz = dirs[:, :, 2]
     with np.errstate(divide="ignore", over="ignore"):
         t_ground = (world.ground_z - origin[2]) / dz
-    t_ground = np.where((dz < 0.0) & (t_ground > 1e-9), t_ground, np.inf)
-    best = np.minimum(best, t_ground)
+    best = np.where((dz < 0.0) & (t_ground > 1e-9), t_ground, np.inf)
 
     # each box is tested only against the rows of its azimuth sector
     for box in world.static_boxes:
@@ -292,5 +292,5 @@ def simulate_sweep(world: World, ego: Pose, cfg: SensorConfig,
         noise = rng.normal(0.0, cfg.noise_sigma, best.shape)
         best = np.where(np.isfinite(best), np.maximum(best + noise, 1e-3), best)
 
-    return Sweep(ego, np.where(best <= cfg.max_range, best, np.inf), cfg)
+    return Sweep(ego, np.where(best <= cfg.max_range, best, np.inf), cfg, world.ground_z)
 

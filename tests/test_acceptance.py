@@ -275,8 +275,8 @@ def test_7_pipeline_equivalence(mini_cfg):
     disabled = DecayParams(10.0, 1.0, enabled=False)
     for k in range(30):
         sweep = simulate_sweep(world, Pose(0.0, 0.0, 0.0, k / 20.0), mini_cfg.sensor)
-        online_step(online, offline, sweep, disabled, 0.0, mini_cfg.thresholds)
-        inst = build_instant_map(sweep, plain, 0.0, mini_cfg.thresholds)
+        online_step(online, sweep, disabled, mini_cfg.thresholds)
+        inst = build_instant_map(sweep, plain, mini_cfg.thresholds)
         apply_instant(plain, inst)
 
     assert np.array_equal(g.values, plain.values)
@@ -342,7 +342,7 @@ def test_9_moving_window_matches_one_fixed_map(mini_dict, lattice):
     for k in range(cfg.n_ticks):
         t = k / cfg.tick_rate
         sweep = simulate_sweep(cfg.world, ego_pose_at(cfg.ego_trajectory, t), cfg.sensor)
-        inst = online_step(online, offline, sweep, disabled, 0.0, cfg.thresholds)
+        inst = online_step(online, sweep, disabled, cfg.thresholds)
         g = online.grid
         dc, dr = g.offset_in(full)
         cells = np.s_[dr:dr + g.height, dc:dc + g.width]
@@ -351,7 +351,7 @@ def test_9_moving_window_matches_one_fixed_map(mini_dict, lattice):
             kind[cells] = inst.kind
             inst = InstantMap(full.resolution, full.origin_x, full.origin_y, kind)
         else:  # evidence from the same sweep, built on the full map
-            inst = build_instant_map(sweep, full, 0.0, cfg.thresholds)
+            inst = build_instant_map(sweep, full, cfg.thresholds)
         apply_instant(full, inst)
         assert np.array_equal(g.values, full.values[cells]), k
         assert np.array_equal(g.observed, full.observed[cells]), k

@@ -43,6 +43,7 @@ from mapdecay import (
     run_scenario,
 )
 from mapdecay import fusion, scenario
+from mapdecay.grid import deviates
 from mapdecay.instant import InstantMap
 from mapdecay.scenario import build_offline_phase
 
@@ -108,15 +109,17 @@ class DenseOnline:
                 int(np.count_nonzero(static & (g.values > OCC_CUT))))
 
 
-def check_against(dense: DenseOnline, online, offline: GridMap, decay: DecayParams) -> None:
-    """The window matches the dense map bit for bit, and every cell outside
-    ``deviating`` equals its prior value and is a fixed point of decay."""
+def check_against(dense: DenseOnline, online, decay: DecayParams) -> None:
+    """The window matches the dense map bit for bit, ``deviating`` marks
+    exactly the cells that :func:`deviates` from their prior, and every cell
+    outside it equals its prior value and is a fixed point of decay."""
     g = online.grid
     assert (g.origin_x, g.origin_y) == (dense.grid.origin_x, dense.grid.origin_y)
     assert np.array_equal(_bits(g.values), _bits(dense.grid.values))
     assert np.array_equal(g.observed, dense.grid.observed)
     settled = ~online.deviating
-    prior = dense.prior(offline).values
+    prior = dense.prior(online.prior).values
+    assert np.array_equal(online.deviating, deviates(g.values, prior))
     assert np.array_equal(g.values[settled], prior[settled])
     step = decay_cell(g.values, prior, decay)
     assert np.array_equal(_bits(step)[settled], _bits(g.values)[settled])
@@ -130,11 +133,11 @@ def run_beside_oracle(cfg, offline: GridMap, out: Path) -> tuple:
     expected = []
     library_step = scenario.online_step
 
-    def step(online, prior, sweep, decay, ground_z, thresholds):
-        inst = library_step(online, prior, sweep, decay, ground_z, thresholds)
-        dense.step(prior, sweep.ego_pose, inst, decay)
-        check_against(dense, online, prior, decay)
-        expected.append(dense.metrics(prior))
+    def step(online, sweep, decay, thresholds):
+        inst = library_step(online, sweep, decay, thresholds)
+        dense.step(online.prior, sweep.ego_pose, inst, decay)
+        check_against(dense, online, decay)
+        expected.append(dense.metrics(online.prior))
         return inst
 
     with mock.patch.object(scenario, "online_step", step), \
@@ -249,16 +252,15 @@ def test_settled_cells_hold_the_dense_bits(values, observed, decay, path, seed):
     start = Pose(2.0, 2.0, 0.0, 0.0)
     online = online_init(offline, start, window_size=4.0)
     dense = DenseOnline(offline, start, 4.0)
-    check_against(dense, online, offline, decay)
+    check_against(dense, online, decay)
 
-    def random_evidence(sweep, grid, ground_z, thresholds):
+    def random_evidence(sweep, grid, thresholds):
         return InstantMap(grid.resolution, grid.origin_x, grid.origin_y,
                           rng.choice(np.uint8([0, 0, 1, 2]), size=grid.shape))
 
     with mock.patch.object(fusion, "build_instant_map", random_evidence):
         for t, (x, y) in enumerate(path):
             ego = Pose(x, y, 0.0, float(t))
-            inst = online_step(online, offline, SimpleNamespace(ego_pose=ego), decay,
-                               0.0, None)
+            inst = online_step(online, SimpleNamespace(ego_pose=ego), decay, None)
             dense.step(offline, ego, inst, decay)
-            check_against(dense, online, offline, decay)
+            check_against(dense, online, decay)

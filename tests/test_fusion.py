@@ -42,8 +42,7 @@ class TestBuildOffline:
         pose = Pose(0, 0, 0, 0)
         sweeps = [self._sweep(mini_cfg, pose), self._sweep(mini_cfg, pose)]
         with pytest.raises(LogError):
-            build_offline(sweeps, GridMap.blank(0.2, -24, -24, 240, 240), 0.0,
-                          mini_cfg.thresholds)
+            build_offline(sweeps, GridMap.blank(0.2, -24, -24, 240, 240), mini_cfg.thresholds)
 
     def test_wall_registered_occupied(self, mini_cfg):
         grid = build_offline_phase(mini_cfg)
@@ -103,6 +102,7 @@ class TestOnlineWindow:
         off = self._offline()
         online = online_init(off, Pose(0, 0, 0, 0), window_size=20.0)
         g = online.grid
+        assert online.prior is off
         assert g.values.shape == (100, 100)
         win = offline_window(off, g)
         np.testing.assert_array_equal(g.values, win.values)
@@ -126,7 +126,7 @@ class TestOnlineWindow:
         g.values[50, 50] = 9.25
         g.observed[50, 50] = True
         x0, y0 = g.origin_x, g.origin_y
-        recenter(online, off, Pose(2.0, 0, 0, 0))
+        recenter(online, Pose(2.0, 0, 0, 0))
         assert online.grid.origin_x == pytest.approx(x0 + 2.0)
         # the marked cell moved 10 columns west in window coordinates
         assert online.grid.values[50, 40] == 9.25
@@ -136,7 +136,7 @@ class TestOnlineWindow:
         off = self._offline()
         online = online_init(off, Pose(0, 0, 0, 0), window_size=20.0)
         online.grid.values[:] = 5.0
-        recenter(online, off, Pose(2.0, 0, 0, 0))
+        recenter(online, Pose(2.0, 0, 0, 0))
         g = online.grid
         win = offline_window(off, g)
         np.testing.assert_array_equal(g.values[:, 90:], win.values[:, 90:])
@@ -246,7 +246,7 @@ class TestRecenterProperty:
             g.observed[:] = rng.random(g.values.shape) > 0.5
             values, observed = g.values.copy(), g.observed.copy()
             old_origin = (g.origin_x, g.origin_y)
-            recenter(online, off, Pose(x, y, 0, 0))
+            recenter(online, Pose(x, y, 0, 0))
             g = online.grid
             # snapped to the offline lattice, with the ego in the central cells
             assert (g.origin_x - off.origin_x) / 0.5 == pytest.approx(
@@ -268,8 +268,8 @@ class TestOnlineStep:
                                mini_cfg.sensor)
         # seed an occupied-this-tick cell away from its offline value and
         # check the order: decayed first, evidence added after
-        inst0 = online_step(online, offline, sweep, DecayParams(10, 1, enabled=False),
-                            0.0, mini_cfg.thresholds)
+        inst0 = online_step(online, sweep, DecayParams(10, 1, enabled=False),
+                            mini_cfg.thresholds)
         r, c = np.argwhere(inst0.kind == KIND_OCCUPIED)[0]
         g = online.grid
         g.values[r, c] = 0.0
@@ -277,7 +277,7 @@ class TestOnlineStep:
         win = offline_window(offline, g)
         off_v = win.values[r, c]
         expect = (0.0 * 10 + off_v * 1) / 11.0 + L_OCC
-        online_step(online, offline, sweep, decay, 0.0, mini_cfg.thresholds)
+        online_step(online, sweep, decay, mini_cfg.thresholds)
         assert g.values[r, c] == pytest.approx(expect, rel=1e-12)
 
     def test_unobserved_cell_converges_to_offline(self, mini_cfg):
@@ -293,7 +293,7 @@ class TestOnlineStep:
                                mini_cfg.sensor)
         decay = DecayParams(10.0, 1.0)
         for k in range(60):
-            online_step(online, offline, sweep, decay, 0.0, mini_cfg.thresholds)
+            online_step(online, sweep, decay, mini_cfg.thresholds)
         expect = decay_cell_pow(win.values[r, c] + 8.0, win.values[r, c], decay, 60)
         assert g.values[r, c] == pytest.approx(expect, rel=1e-12)
         assert not g.observed[r, c]
@@ -305,8 +305,7 @@ class TestOnlineStep:
                                mini_cfg.sensor)
         touched = np.zeros(online.grid.shape, dtype=bool)
         for _ in range(60):
-            inst = online_step(online, offline, sweep, DecayParams(10.0, 1.0), 0.0,
-                               mini_cfg.thresholds)
+            inst = online_step(online, sweep, DecayParams(10.0, 1.0), mini_cfg.thresholds)
             touched |= inst.kind != 0
         g = online.grid
         assert (~touched).sum() > 0
@@ -320,7 +319,7 @@ class TestOnlineStep:
         before = g.values.copy()
         sweep = simulate_sweep(mini_cfg.world.without_dynamic(), Pose(0, 0, 0, 0),
                                mini_cfg.sensor)
-        inst = online_step(online, offline, sweep, DecayParams(10, 1, enabled=False),
-                           0.0, mini_cfg.thresholds)
+        inst = online_step(online, sweep, DecayParams(10, 1, enabled=False),
+                           mini_cfg.thresholds)
         untouched = inst.kind == 0
         np.testing.assert_array_equal(g.values[untouched], before[untouched])

@@ -115,18 +115,19 @@ class TestObstacleMask:
 
 
 class _Scene:
-    """Stationary ego at the origin, one tall box to the east."""
+    """Stationary ego at the origin, one tall box to the east, on a ground
+    plane at ``ground_z``."""
 
-    def __init__(self):
-        self.world = World(0.0, Rect(-50, -50, 50, 50),
-                           [Box(6.0, 7.0, -1.0, 1.0, 3.0)], [])
+    def __init__(self, ground_z=0.0):
+        self.world = World(ground_z, Rect(-50, -50, 50, 50),
+                           [Box(6.0, 7.0, -1.0, 1.0, ground_z + 3.0)], [])
         self.cfg = SensorConfig(vertical_angles=np.radians([-20.0, -10.0, -3.0, 4.0]),
                                 azimuth_steps=360, max_range=30.0, mount_height=2.0)
         self.sweep = simulate_sweep(self.world, Pose(0, 0, 0, 0), self.cfg)
 
     def instant(self, res=0.25):
         return build_instant_map(self.sweep, GridMap.blank(res, -25.0, -25.0, 200, 200),
-                                 0.0, ObstacleThresholds(0.3, 4.0))
+                                 ObstacleThresholds(0.3, 4.0))
 
 
 class TestBuildInstantMap:
@@ -156,10 +157,18 @@ class TestBuildInstantMap:
         col = int((10.0 + 25.0) / 0.25)  # behind the box along azimuth 0
         assert inst.kind[100, col] == KIND_UNTOUCHED
 
+    @pytest.mark.parametrize("ground_z", [1.5, -2.0, 7.25])
+    def test_raised_ground_marks_the_same_cells(self, ground_z):
+        # heights count from the sweep's ground plane, so lifting the whole
+        # scene, sensor and box top included, changes no cell
+        raised = _Scene(ground_z)
+        assert raised.sweep.ground_z == ground_z
+        assert np.array_equal(raised.instant().kind, _Scene().instant().kind)
+
     def test_sensor_outside_extent_rejected(self):
         scene = _Scene()
         with pytest.raises(AlignmentError):
-            build_instant_map(scene.sweep, GridMap.blank(0.25, 100.0, 100.0, 10, 10), 0.0,
+            build_instant_map(scene.sweep, GridMap.blank(0.25, 100.0, 100.0, 10, 10),
                               ObstacleThresholds(0.3, 4.0))
 
 
@@ -235,7 +244,9 @@ class TestApplyInstant:
         inst = InstantMap(0.25, 0.0, 0.0, kind)
         got = GridMap(0.25, 0.0, 0.0, values.copy(), observed.copy())
         want = GridMap(0.25, 0.0, 0.0, values.copy(), observed.copy())
-        apply_instant(got, inst)
+        free, occ = apply_instant(got, inst)
         dense_apply(want, inst)
+        assert np.array_equal(free, kind == KIND_FREE_SET)
+        assert np.array_equal(occ, np.flatnonzero(kind == KIND_OCCUPIED))
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.observed, want.observed)

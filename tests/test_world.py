@@ -34,10 +34,11 @@ def small_sensor(**kw):
     return SensorConfig(**args)
 
 
-def sweep_points(sweep, ground_z=0.0):
+def sweep_points(sweep):
     """(n_scans, n_beams, 3) return points derived from the ranges through
     ``ray_geometry``, NaN where there is no return."""
-    origin, cos_a, sin_a, cos_e, sin_e = ray_geometry(sweep.ego_pose, sweep.sensor, ground_z)
+    origin, cos_a, sin_a, cos_e, sin_e = ray_geometry(sweep.ego_pose, sweep.sensor,
+                                                      sweep.ground_z)
     returned = np.isfinite(sweep.ranges)
     safe = np.where(returned, sweep.ranges, 0.0)
     points = np.stack([origin[0] + safe * (cos_a[:, None] * cos_e[None, :]),
@@ -384,5 +385,6 @@ class TestDerivedPoints:
         cfg = dataclasses.replace(cfg, mount_height=mount_height)
         sweep = simulate_sweep(world, ego, cfg, np.random.default_rng(seed))
         assert sweep.sensor is cfg
-        assert np.array_equal(sweep_points(sweep, ground_z),
+        assert sweep.ground_z == ground_z
+        assert np.array_equal(sweep_points(sweep),
                               parent_hit_points(world, ego, cfg, sweep.ranges), equal_nan=True)
