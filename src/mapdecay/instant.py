@@ -115,17 +115,15 @@ def build_instant_map(sweep: Sweep, grid: GridMap,
         raise AlignmentError("instant map extent does not contain the sensor position")
 
     kind = np.zeros(grid.shape, dtype=np.uint8)
-    origin, cos_a, sin_a, cos_e, sin_e = ray_geometry(sweep.ego_pose, sweep.sensor,
-                                                      sweep.ground_z)
-    dir_x, dir_y = cos_a[:, None] * cos_e, sin_a[:, None] * cos_e
+    origin, dx, dy, dz = ray_geometry(sweep.ego_pose, sweep.sensor, sweep.ground_z)
 
     def hit_xy(rays):  # world xy of the returns of the rays that ``rays`` indexes
         r = sweep.ranges[rays]
-        return origin[0] + r * dir_x[rays], origin[1] + r * dir_y[rays]
+        return origin[0] + r * dx[rays], origin[1] + r * dy[rays]
 
     returned = np.isfinite(sweep.ranges)
     safe = np.where(returned, sweep.ranges, 0.0)
-    obstacle = obstacle_mask(origin[2] + safe * sin_e, returned, sweep.ground_z, thresholds)
+    obstacle = obstacle_mask(origin[2] + safe * dz, returned, sweep.ground_z, thresholds)
 
     # free intervals, one per vertical scan with a usable first-beam anchor
     n_az, n_beams = sweep.ranges.shape

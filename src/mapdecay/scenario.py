@@ -86,13 +86,15 @@ class ScenarioConfig:
             if not (math.isfinite(cells) and math.isclose(cells, round(cells), rel_tol=1e-9)):
                 raise ConfigError(f"extent: {side} {length!r} must be a whole number of "
                                   f"{self.resolution!r} m cells")
-        # poses between knots lie on segments, and the extent is convex
+        # poses between knots lie on segments, and the extent and bounds are convex
         grid = self.offline_grid()
         for name in ("ego_trajectory", "offline_trajectory"):
             for i, knot in enumerate(getattr(self, name)):
-                if not grid.contains_point(knot.x, knot.y):
-                    raise ConfigError(f"{name}[{i}]: knot ({knot.x!r}, {knot.y!r}) "
-                                      "lies outside extent")
+                for area, contains in (("extent", grid.contains_point),
+                                       ("world.bounds", self.world.bounds.contains)):
+                    if not contains(knot.x, knot.y):
+                        raise ConfigError(f"{name}[{i}]: knot ({knot.x!r}, {knot.y!r}) "
+                                          f"lies outside {area}")
         # the window is cut from the map, so it can be allocated when the map can
         side = self.window_size / self.resolution
         side = max(1, round(side)) if math.isfinite(side) else side
@@ -253,8 +255,8 @@ _SENSOR_FIELDS = {
     "vertical_max_deg": (float, 10.0),
     "vertical_angles_deg": (_read_numbers, None),
     "azimuth_steps": (int, 720, _AT_LEAST_1),
-    "max_range": (float, 70.0),
-    "mount_height": (float, 2.0),
+    "max_range": (float, 70.0, _POSITIVE),
+    "mount_height": (float, 2.0, _POSITIVE),
     "sweep_rate": (float, None),
     "noise_sigma": (float, 0.0),
 }

@@ -164,8 +164,12 @@ class SensorConfig:
             raise ParameterError("vertical angles must be strictly increasing")
         if self.vertical_angles[0] >= 0.0:
             raise ParameterError("the first beam must point downward")
-        if self.azimuth_steps < 1 or self.max_range <= 0.0:
-            raise ParameterError("azimuth_steps must be at least 1 and max_range positive")
+        if self.azimuth_steps < 1:
+            raise ParameterError("azimuth_steps must be at least 1")
+        if not self.max_range > 0.0:
+            raise ParameterError("max_range must be positive")
+        if not self.mount_height > 0.0:
+            raise ParameterError("mount_height must be positive")
         if not self.noise_sigma >= 0.0:
             raise ParameterError("noise_sigma must be nonnegative")
 
@@ -173,7 +177,8 @@ class SensorConfig:
 @dataclass
 class Sweep:
     """One revolution at ``ego_pose`` and its time by ``sensor`` over a ground
-    plane at ``ground_z``: see :func:`ray_geometry`."""
+    plane at ``ground_z``.  ``ranges[i, b]`` is ray (i, b)'s distance along its
+    unit direction from :func:`ray_geometry`, inf where it has no return."""
     ego_pose: Pose
     ranges: np.ndarray              # (n_scans, n_beams), inf = no return
     sensor: SensorConfig
@@ -181,33 +186,32 @@ class Sweep:
 
 
 def ray_geometry(ego: Pose, cfg: SensorConfig, ground_z: float):
-    """``(origin, cos_a, sin_a, cos_e, sin_e)`` of a sweep's rays: scan i faces
-    ``ego.yaw + i * TAU / n_scans``, and ray (i, b) leaves ``origin`` along the
-    unit vector ``(cos_a[i] * cos_e[b], sin_a[i] * cos_e[b], sin_e[b])``.  Its
-    return lies at ``origin[k] + range * direction[k]``, in that order."""
+    """``(origin, dx, dy, dz)`` of a sweep's rays: scan i faces ``ego.yaw + i *
+    TAU / n_scans``, and ray (i, b) leaves ``origin`` along the unit vector
+    ``(dx[i, b], dy[i, b], dz[b])``; ``dz`` holds one value per beam.  Its
+    return lies at ``origin[k] + range * d[k]``, in that order."""
     azimuths = ego.yaw + np.arange(cfg.azimuth_steps) * (TAU / cfg.azimuth_steps)
     elev = cfg.vertical_angles
+    cos_e = np.cos(elev)
     return (np.array([ego.x, ego.y, ground_z + cfg.mount_height]),
-            np.cos(azimuths), np.sin(azimuths), np.cos(elev), np.sin(elev))
+            np.cos(azimuths)[:, None] * cos_e, np.sin(azimuths)[:, None] * cos_e, np.sin(elev))
 
 
-def _box_enter_t(origin: np.ndarray, dirs: np.ndarray,
-                 lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _box_enter_t(origin: Sequence[float], dirs: Sequence[np.ndarray],
+                 lo: Sequence[float], hi: Sequence[float]) -> np.ndarray:
     """Slab-test entry distance of rays into an AABB; inf where the ray
-    misses or starts inside/behind the box.  ``dirs`` has shape (..., 3)."""
-    tmin = np.full(dirs.shape[:-1], -np.inf)
-    tmax = np.full(dirs.shape[:-1], np.inf)
-    for axis in range(3):
-        d = dirs[..., axis]
-        o = origin[axis]
+    misses or starts inside/behind the box.  ``dirs`` holds the x, y and z
+    direction components as arrays that broadcast together."""
+    tmin, tmax = -np.inf, np.inf
+    for o, d, l, h in zip(origin, dirs, lo, hi):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t1 = (lo[axis] - o) / d
-            t2 = (hi[axis] - o) / d
+            t1 = (l - o) / d
+            t2 = (h - o) / d
         near = np.minimum(t1, t2)
         far = np.maximum(t1, t2)
         zero = d == 0.0
         if np.any(zero):
-            inside = lo[axis] <= o <= hi[axis]
+            inside = l <= o <= h
             near = np.where(zero, -np.inf if inside else np.inf, near)
             far = np.where(zero, np.inf if inside else -np.inf, far)
         tmin = np.maximum(tmin, near)
@@ -216,7 +220,7 @@ def _box_enter_t(origin: np.ndarray, dirs: np.ndarray,
     return np.where(hit, tmin, np.inf)
 
 
-def _sector_rows(origin: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+def _sector_rows(origin: Sequence[float], lo: Sequence[float], hi: Sequence[float],
                  az0: float, n_az: int) -> list[slice]:
     """Row slices whose rays can meet the footprint ``lo[:2]..hi[:2]``, in a
     frame where row i points at ``az0 + i * TAU / n_az``.  Seen from outside,
@@ -243,8 +247,10 @@ def simulate_sweep(world: World, ego: Pose, cfg: SensorConfig,
                    rng: Optional[np.random.Generator] = None) -> Sweep:
     """Simulate one full revolution from the ego pose at its time ``ego.t``.
 
-    Rays start at (ego.x, ego.y, ground_z + mount_height).  Dynamic objects
-    are frozen at their pose for time ``ego.t`` (no intra-sweep motion).
+    Rays start at (ego.x, ego.y, ground_z + mount_height) along the directions
+    of :func:`ray_geometry`.  Each box is slab-tested in its own frame: a
+    dynamic object's is its pose at ``ego.t`` (no intra-sweep motion), a
+    static box's is the world's.
     """
     if not world.bounds.contains(ego.x, ego.y):
         raise ScenarioError(f"ego pose ({ego.x}, {ego.y}) is outside the world bounds")
@@ -252,41 +258,29 @@ def simulate_sweep(world: World, ego: Pose, cfg: SensorConfig,
         raise ParameterError("noise_sigma > 0 needs a random generator")
 
     n_az = cfg.azimuth_steps
-    origin, cos_a, sin_a, cos_e, sin_e = ray_geometry(ego, cfg, world.ground_z)
-    dirs = np.empty((n_az, len(cos_e), 3))
-    dirs[:, :, 0] = cos_a[:, None] * cos_e[None, :]
-    dirs[:, :, 1] = sin_a[:, None] * cos_e[None, :]
-    dirs[:, :, 2] = sin_e[None, :]
+    origin, dx, dy, dz = ray_geometry(ego, cfg, world.ground_z)
+    ground = world.ground_z
 
-    # ground plane
-    dz = dirs[:, :, 2]
+    # the ground plane, per beam
     with np.errstate(divide="ignore", over="ignore"):
-        t_ground = (world.ground_z - origin[2]) / dz
-    best = np.where((dz < 0.0) & (t_ground > 1e-9), t_ground, np.inf)
+        t_ground = (ground - origin[2]) / dz
+    best = np.tile(np.where((dz < 0.0) & (t_ground > 1e-9), t_ground, np.inf), (n_az, 1))
 
-    # each box is tested only against the rows of its azimuth sector
-    for box in world.static_boxes:
-        lo = np.array([box.x_min, box.y_min, world.ground_z])
-        hi = np.array([box.x_max, box.y_max, box.z_top])
-        for rows in _sector_rows(origin, lo, hi, ego.yaw, n_az):
-            best[rows] = np.minimum(best[rows], _box_enter_t(origin, dirs[rows], lo, hi))
-
+    # a static box is posed at the origin with yaw 0, a dynamic one at ego.t
+    boxes = [(Pose(0.0, 0.0), (box.x_min, box.y_min, ground), (box.x_max, box.y_max, box.z_top))
+             for box in world.static_boxes]
     for obj in world.dynamic_objects:
-        pose = obj.pose_at(ego.t)
+        hl, hw = obj.length / 2.0, obj.width / 2.0
+        boxes.append((obj.pose_at(ego.t), (-hl, -hw, ground), (hl, hw, ground + obj.height)))
+    # each box is slab-tested in its own frame against its azimuth sector's rows
+    for pose, lo, hi in boxes:
         c, s = math.cos(-pose.yaw), math.sin(-pose.yaw)
-        local_origin = origin.copy()
         ox, oy = origin[0] - pose.x, origin[1] - pose.y
-        local_origin[0] = c * ox - s * oy
-        local_origin[1] = s * ox + c * oy
-        lo = np.array([-obj.length / 2.0, -obj.width / 2.0, world.ground_z])
-        hi = np.array([obj.length / 2.0, obj.width / 2.0, world.ground_z + obj.height])
-        for rows in _sector_rows(local_origin, lo, hi, ego.yaw - pose.yaw, n_az):
-            d = dirs[rows]
-            local_dirs = d.copy()
-            local_dirs[:, :, 0] = c * d[:, :, 0] - s * d[:, :, 1]
-            local_dirs[:, :, 1] = s * d[:, :, 0] + c * d[:, :, 1]
-            best[rows] = np.minimum(best[rows],
-                                    _box_enter_t(local_origin, local_dirs, lo, hi))
+        local = (c * ox - s * oy, s * ox + c * oy, origin[2])
+        for rows in _sector_rows(local, lo, hi, ego.yaw - pose.yaw, n_az):
+            x, y = dx[rows], dy[rows]
+            enter = _box_enter_t(local, (c * x - s * y, s * x + c * y, dz), lo, hi)
+            best[rows] = np.minimum(best[rows], enter)
 
     if cfg.noise_sigma > 0.0:
         noise = rng.normal(0.0, cfg.noise_sigma, best.shape)

@@ -125,11 +125,18 @@ class TestConfigValidation:
          "world.static_boxes[0].: a box needs x_min < x_max"),
         (None, "duration", 1e-6, "duration: 1e-06 s at 20.0 Hz rounds to 0 ticks"),
         (None, "tick_rate", 0.01, "duration: 7.0 s at 0.01 Hz rounds to 0 ticks"),
+        # the ego at (0, 0) is inside the +-24 m extent but below these bounds
+        ("world", "bounds", [-30.0, 1.0, 30.0, 30.0],
+         "ego_trajectory[0]: knot (0.0, 0.0) lies outside world.bounds"),
+        ("sensor", "mount_height", -1.0, "sensor.mount_height: must be positive"),
+        ("sensor", "mount_height", 0.0, "sensor.mount_height: must be positive"),
+        ("sensor", "max_range", -1.0, "sensor.max_range: must be positive"),
     ], ids=["bounds", "extent", "vertical_angles", "nan", "inf", "huge_int",
             "tick_overflow", "partial_cell", "offline_tick_overflow", "knot_outside_extent",
             "no_beams", "negative_beams", "negative_offline_tick_rate", "negative_seed",
             "huge_window", "window_overflow", "inverted_box", "short_duration",
-            "slow_tick_rate"])
+            "slow_tick_rate", "knot_outside_bounds", "negative_mount_height",
+            "zero_mount_height", "negative_max_range"])
     def test_malformed_numbers_rejected(self, mini_dict, tmp_path, capsys,
                                         section, key, value, path):
         (mini_dict[section] if section else mini_dict)[key] = value
@@ -139,6 +146,19 @@ class TestConfigValidation:
         cfg.write_text(json.dumps(mini_dict))  # NaN and Infinity as JSON literals
         assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["ego_trajectory", "offline_trajectory"])
+    def test_knot_inside_extent_outside_bounds_rejected(self, mini_dict, tmp_path, capsys, name):
+        # with a +-40 m extent, a knot at x = 35 lies outside the +-30 m bounds
+        mini_dict["extent"] = [-40.0, -40.0, 40.0, 40.0]
+        mini_dict[name] = [[0.0, 0.0, 0.0, 0.0], [3.0, 35.0, 0.0, 0.0]]
+        path = f"{name}[1]: knot (35.0, 0.0) lies outside world.bounds"
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            config_from_dict(mini_dict)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(mini_dict))
+        assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
+        assert path in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, values", [
         ("obstacle", {"min_height": 4.0, "max_height": 0.3}),

@@ -20,7 +20,7 @@ from mapdecay import (
     interpolate_pose,
     simulate_sweep,
 )
-from mapdecay.world import TAU, _box_enter_t, normalize_angle, ray_geometry
+from mapdecay.world import TAU, normalize_angle, ray_geometry
 
 
 def flat_world(boxes=(), objects=()):
@@ -37,13 +37,11 @@ def small_sensor(**kw):
 def sweep_points(sweep):
     """(n_scans, n_beams, 3) return points derived from the ranges through
     ``ray_geometry``, NaN where there is no return."""
-    origin, cos_a, sin_a, cos_e, sin_e = ray_geometry(sweep.ego_pose, sweep.sensor,
-                                                      sweep.ground_z)
+    origin, dx, dy, dz = ray_geometry(sweep.ego_pose, sweep.sensor, sweep.ground_z)
     returned = np.isfinite(sweep.ranges)
     safe = np.where(returned, sweep.ranges, 0.0)
-    points = np.stack([origin[0] + safe * (cos_a[:, None] * cos_e[None, :]),
-                       origin[1] + safe * (sin_a[:, None] * cos_e[None, :]),
-                       origin[2] + safe * sin_e[None, :]], axis=-1)
+    points = np.stack([origin[0] + safe * dx, origin[1] + safe * dy, origin[2] + safe * dz],
+                      axis=-1)
     points[~returned] = np.nan
     return points
 
@@ -229,8 +227,13 @@ class TestSweepBehavior:
             small_sensor(vertical_angles=np.array([]))
         with pytest.raises(ParameterError):
             small_sensor(vertical_angles=np.radians([-95.0, -10.0, 0.0]))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="azimuth_steps must be at least 1"):
             small_sensor(azimuth_steps=0)
+        with pytest.raises(ParameterError, match="max_range must be positive"):
+            small_sensor(max_range=-1.0)
+        for height in (0.0, -1.0):
+            with pytest.raises(ParameterError, match="mount_height must be positive"):
+                small_sensor(mount_height=height)
         with pytest.raises(ParameterError):
             small_sensor(noise_sigma=-0.1)
 
@@ -260,6 +263,32 @@ def parent_hit_points(world, ego, cfg, ranges):
     return hits
 
 
+def slab_enter_t(origin, dirs, lo, hi):
+    """Slab-test entry distance of rays into an AABB, inf where the ray misses
+    or starts inside or behind the box; ``dirs`` has shape (..., 3).  This is
+    the library's former slab test, kept here so the oracle below does not
+    share the one it checks."""
+    tmin = np.full(dirs.shape[:-1], -np.inf)
+    tmax = np.full(dirs.shape[:-1], np.inf)
+    for axis in range(3):
+        d = dirs[..., axis]
+        o = origin[axis]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t1 = (lo[axis] - o) / d
+            t2 = (hi[axis] - o) / d
+        near = np.minimum(t1, t2)
+        far = np.maximum(t1, t2)
+        zero = d == 0.0
+        if np.any(zero):
+            inside = lo[axis] <= o <= hi[axis]
+            near = np.where(zero, -np.inf if inside else np.inf, near)
+            far = np.where(zero, np.inf if inside else -np.inf, far)
+        tmin = np.maximum(tmin, near)
+        tmax = np.minimum(tmax, far)
+    hit = (tmin <= tmax) & (tmin > 1e-9)
+    return np.where(hit, tmin, np.inf)
+
+
 def full_slab_sweep(world, ego, cfg, rng=None):
     """Reference sweep at ``ego.t``: every box is slab-tested against every ray."""
     n_az = cfg.azimuth_steps
@@ -277,7 +306,7 @@ def full_slab_sweep(world, ego, cfg, rng=None):
     for box in world.static_boxes:
         lo = np.array([box.x_min, box.y_min, world.ground_z])
         hi = np.array([box.x_max, box.y_max, box.z_top])
-        best = np.minimum(best, _box_enter_t(origin, dirs, lo, hi))
+        best = np.minimum(best, slab_enter_t(origin, dirs, lo, hi))
     for obj in world.dynamic_objects:
         pose = obj.pose_at(ego.t)
         c, s = math.cos(-pose.yaw), math.sin(-pose.yaw)
@@ -290,7 +319,7 @@ def full_slab_sweep(world, ego, cfg, rng=None):
         local_dirs[:, :, 1] = s * dirs[:, :, 0] + c * dirs[:, :, 1]
         lo = np.array([-obj.length / 2.0, -obj.width / 2.0, world.ground_z])
         hi = np.array([obj.length / 2.0, obj.width / 2.0, world.ground_z + obj.height])
-        best = np.minimum(best, _box_enter_t(local_origin, local_dirs, lo, hi))
+        best = np.minimum(best, slab_enter_t(local_origin, local_dirs, lo, hi))
     if rng is not None and cfg.noise_sigma > 0.0:
         noise = rng.normal(0.0, cfg.noise_sigma, best.shape)
         best = np.where(np.isfinite(best), np.maximum(best + noise, 1e-3), best)
