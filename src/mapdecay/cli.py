@@ -66,8 +66,12 @@ def _cmd_run(args) -> int:
                         cfg.decay.w_off if args.w_off is None else args.w_off,
                         enabled=cfg.decay.enabled and not args.no_decay)
     cfg = dataclasses.replace(cfg, decay=decay)
-    offline = read_map(args.offline) if args.offline else None
-    run_scenario(cfg, offline=offline, output_dir=args.output)
+    offline = read_map(args.offline) if args.offline else build_offline_phase(cfg)
+    metrics = run_scenario(cfg, offline, args.output or cfg.output_dir or "out")
+    persistence = metrics.trace_persistence
+    print(f"ticks={cfg.n_ticks} trace_region_cells={metrics.trace_offline.size} "
+          f"trace_persistence={'none' if persistence is None else persistence} "
+          f"final_iou={metrics.final_iou:.6f} total_wall_s={metrics.wall_time.sum():.3f}")
     return 0
 
 

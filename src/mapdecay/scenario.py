@@ -42,6 +42,7 @@ from .world import (
     simulate_sweep,
 )
 
+_MAX_ELEMENTS = np.iinfo(np.intp).max // 8  # elements of the largest float64 numpy array
 UNOBSERVED_RGB = (0, 0, 255)
 _PALETTE = np.array([(g, g, g) for g in range(256)] + [UNOBSERVED_RGB], dtype=np.uint8)
 
@@ -86,6 +87,10 @@ class ScenarioConfig:
             if not (math.isfinite(cells) and math.isclose(cells, round(cells), rel_tol=1e-9)):
                 raise ConfigError(f"extent: {side} {length!r} must be a whole number of "
                                   f"{self.resolution!r} m cells")
+        steps, beams = self.sensor.azimuth_steps, self.sensor.vertical_angles.size
+        if steps * beams > _MAX_ELEMENTS:
+            raise ConfigError(f"sensor.azimuth_steps: {steps} steps x {beams} beams exceed "
+                              f"the {_MAX_ELEMENTS} rays a sweep can hold")
         # poses between knots lie on segments, and the extent and bounds are convex
         grid = self.offline_grid()
         for name in ("ego_trajectory", "offline_trajectory"):
@@ -115,9 +120,12 @@ class ScenarioConfig:
 
     def offline_grid(self) -> GridMap:
         """A blank grid on the offline map's lattice."""
-        return GridMap.blank(self.resolution, self.extent.x_min, self.extent.y_min,
-                             round((self.extent.x_max - self.extent.x_min) / self.resolution),
-                             round((self.extent.y_max - self.extent.y_min) / self.resolution))
+        width = round((self.extent.x_max - self.extent.x_min) / self.resolution)
+        height = round((self.extent.y_max - self.extent.y_min) / self.resolution)
+        if width * height > _MAX_ELEMENTS:
+            raise ConfigError(f"extent: {width:.6g}x{height:.6g} cells of {self.resolution!r} m "
+                              f"exceed the {_MAX_ELEMENTS} cells a map can hold")
+        return GridMap.blank(self.resolution, self.extent.x_min, self.extent.y_min, width, height)
 
 
 _REQUIRED = object()
@@ -176,10 +184,10 @@ def _read_section(raw, path: str, fields: dict, build):
     """Read a config object against its field table and call ``build`` with
     the fields as keywords; every error is a ConfigError naming the field.
 
-    The table maps each key to ``(type, default[, check])``.  ``type`` is a
+    The table maps each key to ``(type, default, *checks)``.  ``type`` is a
     JSON type or a reader ``(value, path) -> value``, which also reads the
     default unless that is ``None``.  ``_REQUIRED`` marks a field that must
-    be present; ``check`` is a ``(predicate, message)`` pair.
+    be present; each check is a ``(predicate, message)`` pair.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{path.rstrip('.') or 'config'}: expected an object")
@@ -250,7 +258,8 @@ _WORLD_FIELDS = {
     "dynamic_objects": (_items(_OBJECT_FIELDS, DynamicObject), []),
 }
 _SENSOR_FIELDS = {
-    "beam_count": (int, 32, _AT_LEAST_1),
+    "beam_count": (int, 32, _AT_LEAST_1, (lambda v: v <= _MAX_ELEMENTS,
+                                          f"must be at most {_MAX_ELEMENTS}")),
     "vertical_min_deg": (float, -30.0),
     "vertical_max_deg": (float, 10.0),
     "vertical_angles_deg": (_read_numbers, None),
@@ -305,6 +314,7 @@ def load_config(path) -> ScenarioConfig:
 
 @dataclass
 class RunMetrics:
+    """What ``run_scenario`` measured: M trace cells over T ticks."""
     trace_offline: np.ndarray        # (M,) offline value per trace cell
     trace_values: np.ndarray         # (T, M) online value per tick
     last_observed: np.ndarray        # (M,) last tick each cell got evidence, -1 never
@@ -314,7 +324,6 @@ class RunMetrics:
     static_total: np.ndarray         # (T,) observed cells occupied offline
     static_ok: np.ndarray            # (T,) of those, online prob > 0.9
     epsilon_trace: float
-    output_dir: Path
 
     @property
     def trace_dev(self) -> np.ndarray:
@@ -365,22 +374,30 @@ def occupancy_iou(a_values: np.ndarray, b_values: np.ndarray,
     return np.count_nonzero(a_occ) / union if union else 1.0
 
 
+def _cell_near(grid: GridMap, x, y, pad: float):
+    """``grid.cell_of`` of a point moved to within ``pad`` m of the map: off it if pad > 0."""
+    return grid.cell_of(
+        np.clip(x, grid.origin_x - pad, grid.origin_x + grid.width * grid.resolution + pad),
+        np.clip(y, grid.origin_y - pad, grid.origin_y + grid.height * grid.resolution + pad))
+
+
 def _mark_footprints(mask: np.ndarray, value: bool, obj: DynamicObject, times,
                      grid: GridMap, margin: float = 0.0) -> None:
     """Set ``mask`` to ``value`` on the cells whose center lies in the object
     footprint at any of ``times``, grown by ``margin`` meters on every side.
-    A pass tests, for a batch of times, the square of cells around each pose
-    that holds the footprint in any heading: about 2**18 cells."""
+    A pass tests, for a batch of times, the map cells of the square around
+    each pose that holds the footprint in any heading: about 2**18 cells."""
     half_l, half_w = obj.length / 2.0 + margin, obj.width / 2.0 + margin
     reach = math.hypot(half_l, half_w)
-    side = np.arange(math.ceil(2.0 * reach / grid.resolution) + 2)
-    batch = max(1, (1 << 18) // side.size ** 2)
+    span = 2.0 * reach / grid.resolution  # inf for a footprint no float can span
+    n_cols, n_rows = (min(n, math.ceil(min(span, n)) + 2) for n in (grid.width, grid.height))
+    batch = max(1, (1 << 18) // (n_cols * n_rows))
     for i in range(0, len(times), batch):
         poses = [obj.pose_at(t) for t in times[i:i + batch]]
         px, py, ca, sa = (np.array(v)[:, None, None] for v in zip(*(
             (p.x, p.y, math.cos(-p.yaw), math.sin(-p.yaw)) for p in poses)))
-        c0, r0 = grid.cell_of(px - reach, py - reach)
-        cols, rows = c0 + side[None, None, :], r0 + side[None, :, None]
+        c0, r0 = _cell_near(grid, px - reach, py - reach, 0.0)
+        cols, rows = c0 + np.arange(n_cols)[None, None, :], r0 + np.arange(n_rows)[None, :, None]
         cx, cy = grid.center_of(cols, rows)
         lx = ca * (cx - px) - sa * (cy - py)
         ly = sa * (cx - px) + ca * (cy - py)
@@ -408,8 +425,8 @@ def compute_trace_region(cfg: ScenarioConfig,
         _mark_footprints(mask, False, obj, [0.0, times[-1]], offline,
                          margin=3.0 * offline.resolution)
     for box in cfg.world.static_boxes:
-        c0, r0 = offline.cell_of(box.x_min, box.y_min)
-        c1, r1 = offline.cell_of(box.x_max, box.y_max)
+        c0, r0 = _cell_near(offline, box.x_min, box.y_min, offline.resolution)
+        c1, r1 = _cell_near(offline, box.x_max, box.y_max, offline.resolution)
         mask[max(r0, 0):max(r1 + 1, 0), max(c0, 0):max(c1 + 1, 0)] = False
     return np.nonzero(mask)
 
@@ -449,35 +466,27 @@ def build_offline_phase(cfg: ScenarioConfig) -> GridMap:
     return clean_offline(grid, cfg.clean)
 
 
-def run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap] = None,
-                 output_dir: Optional[str] = None) -> RunMetrics:
-    """Run both phases and write frames, maps, and a metrics CSV.
-
-    Deterministic given the config; partial outputs are removed on failure.
-    A prebuilt ``offline`` map must lie on the config's extent and resolution
-    and hold only values in ``[L_MIN, L_MAX]``.
-    """
-    out = Path(output_dir or cfg.output_dir or "out")
+def run_scenario(cfg: ScenarioConfig, offline: GridMap, output_dir) -> RunMetrics:
+    """Phase 2 on the prior ``offline``, which must lie on the config's extent
+    and resolution and hold only values in ``[L_MIN, L_MAX]``: write frames,
+    maps and a metrics CSV into ``output_dir`` and print nothing.  Outputs are
+    deterministic given the config; partial ones are removed on failure."""
+    lattice = cfg.offline_grid()
+    if not (offline.shape == lattice.shape and offline.offset_in(lattice) == (0, 0)):
+        raise AlignmentError("offline map does not match the config's extent and resolution")
+    del lattice  # a blank map the size of the prior, not to be held for the run
+    check_values(offline, "offline map")
     created: list[Path] = []
     try:
-        return _run_scenario(cfg, offline, out, created)
+        return _run_scenario(cfg, offline, Path(output_dir), created)
     except Exception:
         for p in created:
             p.unlink(missing_ok=True)
         raise
 
 
-def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap], out: Path,
+def _run_scenario(cfg: ScenarioConfig, offline: GridMap, out: Path,
                   created: list[Path]) -> RunMetrics:
-    if offline is None:
-        offline = build_offline_phase(cfg)
-    else:
-        lattice = cfg.offline_grid()
-        if not (offline.shape == lattice.shape and offline.offset_in(lattice) == (0, 0)):
-            raise AlignmentError("offline map does not match the config's extent and resolution")
-        del lattice  # a blank map the size of the prior, not to be held for the run
-        check_values(offline, "offline map")
-
     out.mkdir(parents=True, exist_ok=True)
     frames_dir = out / "frames"
     frames_dir.mkdir(exist_ok=True)
@@ -551,7 +560,7 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap], out: Path,
 
     csv_path = out / "metrics.csv"
     metrics = RunMetrics(trace_off, trace_values, last_observed, observed_cells,
-                         iou, wall, static_total, static_ok, cfg.epsilon_trace, out)
+                         iou, wall, static_total, static_ok, cfg.epsilon_trace)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tick", "t_sec", "trace_max_dev", "observed_cells", "iou"])
@@ -562,9 +571,4 @@ def _run_scenario(cfg: ScenarioConfig, offline: Optional[GridMap], out: Path,
                              int(observed_cells[k]), f"{iou[k]:.12g}"])
     created.append(csv_path)
 
-    persistence = metrics.trace_persistence
-    print(f"ticks={cfg.n_ticks} trace_region_cells={m} "
-          f"trace_persistence={persistence if persistence is not None else 'none'} "
-          f"final_iou={metrics.final_iou:.6f} "
-          f"total_wall_s={wall.sum():.3f}")
     return metrics

@@ -108,15 +108,6 @@ class DynamicObject:
     def pose_at(self, t: float) -> Pose:
         return interpolate_pose(self.trajectory, t)
 
-    def footprint_corners(self, t: float) -> np.ndarray:
-        """World-frame (4, 2) corner array of the footprint at time t."""
-        p = self.pose_at(t)
-        hl, hw = self.length / 2.0, self.width / 2.0
-        local = np.array([[-hl, -hw], [hl, -hw], [hl, hw], [-hl, hw]])
-        c, s = math.cos(p.yaw), math.sin(p.yaw)
-        rot = np.array([[c, -s], [s, c]])
-        return local @ rot.T + np.array([p.x, p.y])
-
 
 ego_pose_at = interpolate_pose
 

@@ -76,9 +76,13 @@ def offline_map(overtake_cfg):
 
 
 @pytest.fixture(scope="module")
-def run_decay_on(overtake_cfg, offline_map, tmp_path_factory):
-    out = tmp_path_factory.mktemp("decay_on")
-    return run_scenario(overtake_cfg, offline=offline_map, output_dir=str(out))
+def decay_on_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("decay_on")
+
+
+@pytest.fixture(scope="module")
+def run_decay_on(overtake_cfg, offline_map, decay_on_dir):
+    return run_scenario(overtake_cfg, offline=offline_map, output_dir=str(decay_on_dir))
 
 
 @pytest.fixture(scope="module")
@@ -286,11 +290,9 @@ def test_7_pipeline_equivalence(mini_cfg):
 
 
 def test_8_determinism_and_formats(overtake_cfg, offline_map, run_decay_on,
-                                   tmp_path):
-    first = run_decay_on.output_dir
-    rerun = run_scenario(overtake_cfg, offline=offline_map,
-                         output_dir=str(tmp_path / "again"))
-    second = rerun.output_dir
+                                   decay_on_dir, tmp_path):
+    first, second = decay_on_dir, tmp_path / "again"
+    run_scenario(overtake_cfg, offline=offline_map, output_dir=str(second))
     for name in ("online_final.ogm", "offline.ogm", "metrics.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
     frames_a = sorted((first / "frames").glob("*.ppm"))
@@ -387,7 +389,8 @@ def test_10_cells_fade_on_the_decay_schedule(run_decay_on, mini_dict, tmp_path):
     # test 9's moving ego, with decay on
     mini_dict["ego_trajectory"] = [[0.0, -12.0, -1.0, 0.0], [7.0, 12.0, 1.0, 0.0]]
     mini_dict["sensor"]["max_range"] = 8.0
-    moving = run_scenario(config_from_dict(mini_dict), output_dir=str(tmp_path))
+    cfg = config_from_dict(mini_dict)
+    moving = run_scenario(cfg, offline=build_offline_phase(cfg), output_dir=str(tmp_path))
     for name, m in (("overtake", run_decay_on), ("moving mini", moving)):
         misses, checked, censored = fade_schedule_misses(m, WEIGHTS.retention)
         assert checked > 40 and not misses, (name, misses[:5])

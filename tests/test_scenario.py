@@ -131,12 +131,24 @@ class TestConfigValidation:
         ("sensor", "mount_height", -1.0, "sensor.mount_height: must be positive"),
         ("sensor", "mount_height", 0.0, "sensor.mount_height: must be positive"),
         ("sensor", "max_range", -1.0, "sensor.max_range: must be positive"),
+        # arrays of more float64 elements than numpy can address
+        ("sensor", "azimuth_steps", 2**60,
+         "sensor.azimuth_steps: 1152921504606846976 steps x 8 beams exceed the "
+         "1152921504606846975 rays a sweep can hold"),
+        ("sensor", "azimuth_steps", 10**30, f"sensor.azimuth_steps: {10**30} steps x 8"),
+        ("sensor", "azimuth_steps", 2**63, "sensor.azimuth_steps: 9223372036854775808 steps"),
+        ("sensor", "beam_count", 2**63, "sensor.beam_count: must be at most 1152921504606846975"),
+        ("sensor", "beam_count", 2**60, "sensor.beam_count: must be at most 1152921504606846975"),
+        (None, "resolution", 1e-300, "extent: 4.8e+301x4.8e+301 cells of 1e-300 m exceed the "
+         "1152921504606846975 cells a map can hold"),
+        (None, "extent", [-1e18, -1e18, 1e18, 1e18], "extent: 1e+19x1e+19 cells of 0.2 m"),
     ], ids=["bounds", "extent", "vertical_angles", "nan", "inf", "huge_int",
             "tick_overflow", "partial_cell", "offline_tick_overflow", "knot_outside_extent",
             "no_beams", "negative_beams", "negative_offline_tick_rate", "negative_seed",
             "huge_window", "window_overflow", "inverted_box", "short_duration",
             "slow_tick_rate", "knot_outside_bounds", "negative_mount_height",
-            "zero_mount_height", "negative_max_range"])
+            "zero_mount_height", "negative_max_range", "azimuth_2e60", "azimuth_1e30",
+            "azimuth_2e63", "beams_2e63", "beams_2e60", "tiny_resolution", "huge_extent"])
     def test_malformed_numbers_rejected(self, mini_dict, tmp_path, capsys,
                                         section, key, value, path):
         (mini_dict[section] if section else mini_dict)[key] = value
@@ -329,7 +341,7 @@ class TestRender:
 def run(tmp_path_factory):
     cfg = config_from_dict(copy.deepcopy(conftest.MINI_CONFIG))
     out = tmp_path_factory.mktemp("mini_run")
-    metrics = run_scenario(cfg, output_dir=str(out))
+    metrics = run_scenario(cfg, offline=build_offline_phase(cfg), output_dir=str(out))
     return cfg, out, metrics
 
 
@@ -367,14 +379,15 @@ class TestRunScenario:
         cfg, _, metrics_on = run
         metrics_off = run_scenario(
             dataclasses.replace(cfg, decay=DecayParams(10, 1, enabled=False)),
-            output_dir=str(tmp_path / "off"))
+            offline=build_offline_phase(cfg), output_dir=str(tmp_path / "off"))
         assert metrics_off.trace_max_dev[-1] > 1.0
         assert metrics_off.trace_max_dev[-1] > metrics_on.trace_max_dev[-1]
 
     def test_empty_trace_region(self, mini_dict, tmp_path):
         mini_dict["world"]["dynamic_objects"] = []
         mini_dict["duration"] = 0.5
-        metrics = run_scenario(config_from_dict(mini_dict), output_dir=str(tmp_path))
+        cfg = config_from_dict(mini_dict)
+        metrics = run_scenario(cfg, offline=build_offline_phase(cfg), output_dir=str(tmp_path))
         assert metrics.trace_offline.size == 0
         assert metrics.trace_persistence is None
         with open(tmp_path / "metrics.csv") as fh:
@@ -382,8 +395,8 @@ class TestRunScenario:
         assert [row[2] for row in rows] == ["0"] * 10
 
     def test_trace_region_excludes_walls_and_endpoints(self, run):
-        cfg, _, metrics = run
-        offline = read_map(metrics.output_dir / "offline.ogm")
+        cfg, out, _ = run
+        offline = read_map(out / "offline.ogm")
         rows, cols = compute_trace_region(cfg, offline)
         xs = offline.origin_x + (cols + 0.5) * offline.resolution
         ys = offline.origin_y + (rows + 0.5) * offline.resolution
@@ -400,14 +413,17 @@ def _parent_rect_cells(grid, x_min, y_min, x_max, y_max):
 
 def _parent_footprint_cells(obj, t, grid, margin=0.0):
     """The footprint rasteriser as it was: one meshgrid per object and time."""
-    corners = obj.footprint_corners(t)
+    pose = obj.pose_at(t)
+    hl, hw = obj.length / 2.0, obj.width / 2.0
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    corners = (np.array([[-hl, -hw], [hl, -hw], [hl, hw], [-hl, hw]])
+               @ np.array([[c, -s], [s, c]]).T + np.array([pose.x, pose.y]))
     c0, c1, r0, r1 = _parent_rect_cells(grid, corners[:, 0].min() - margin,
                                         corners[:, 1].min() - margin,
                                         corners[:, 0].max() + margin,
                                         corners[:, 1].max() + margin)
     cols, rows = np.meshgrid(np.arange(c0, c1), np.arange(r0, r1))
     cx, cy = grid.center_of(cols, rows)
-    pose = obj.pose_at(t)
     ca, sa = math.cos(-pose.yaw), math.sin(-pose.yaw)
     lx = ca * (cx - pose.x) - sa * (cy - pose.y)
     ly = sa * (cx - pose.x) + ca * (cy - pose.y)
@@ -445,6 +461,64 @@ def test_trace_region_matches_one_footprint_per_tick(name):
     offline.observed[:] = True
     rows, cols = compute_trace_region(cfg, offline)
     expect_rows, expect_cols = _parent_trace_region(cfg, offline)
+    assert len(rows) > 80
+    assert np.array_equal(rows, expect_rows) and np.array_equal(cols, expect_cols)
+
+
+def _dense_trace_region(cfg, offline):
+    """The trace region by its definition: every cell center tested against
+    every footprint.  Static boxes are left out."""
+    cx, cy = offline.center_of(*np.meshgrid(np.arange(offline.width),
+                                            np.arange(offline.height)))
+
+    def covered(obj, times, margin):
+        hit = np.zeros(offline.shape, dtype=bool)
+        for t in times:
+            pose = obj.pose_at(t)
+            ca, sa = math.cos(-pose.yaw), math.sin(-pose.yaw)
+            lx = ca * (cx - pose.x) - sa * (cy - pose.y)
+            ly = sa * (cx - pose.x) + ca * (cy - pose.y)
+            hit |= ((np.abs(lx) <= obj.length / 2.0 + margin)
+                    & (np.abs(ly) <= obj.width / 2.0 + margin))
+        return hit
+
+    times = [k / cfg.tick_rate for k in range(cfg.n_ticks)]
+    mask = np.zeros(offline.shape, dtype=bool)
+    for obj in cfg.world.dynamic_objects:
+        mask |= covered(obj, times, 0.0)
+    mask &= offline.observed & (offline.values < 0.0)
+    for obj in cfg.world.dynamic_objects:
+        mask &= ~covered(obj, [0.0, times[-1]], 3.0 * offline.resolution)
+    return np.nonzero(mask)
+
+
+@pytest.mark.parametrize("case", ["length_1e6", "length_1e308", "distant_box",
+                                  "distant_object"])
+def test_trace_region_of_huge_or_distant_shapes(mini_dict, case):
+    # each shape reaches far beyond the 240x240 map; its cells must be found
+    # without an overflow, a request for a square larger than the map, or a warning
+    world = mini_dict["world"]
+    world["bounds"] = [-1e300, -1e300, 1e300, 1e300]
+    world["static_boxes"] = []
+    cart = world["dynamic_objects"][0]
+    if case.startswith("length"):
+        # a bar turning about a point south of the ego, crossing the whole map
+        cart["length"] = float(case.split("_")[1])
+        cart["trajectory"] = [[0.0, 0.0, -10.0, 0.0], [7.0, 0.0, -10.0, 1.0]]
+    elif case == "distant_box":
+        world["static_boxes"] = [{"x_min": -1e300, "x_max": -1e299, "y_min": -1e300,
+                                  "y_max": -1e299, "z_top": 2.0}]
+    else:
+        world["dynamic_objects"].append(dict(cart, name="far", trajectory=[
+            [0.0, 1e300, 0.0, 0.0], [7.0, 1e300, 5.0, 0.5]]))
+    cfg = config_from_dict(mini_dict)
+    offline = cfg.offline_grid()
+    offline.values[:] = -1.0
+    offline.observed[:] = True
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, cols = compute_trace_region(cfg, offline)
+    expect_rows, expect_cols = _dense_trace_region(cfg, offline)
     assert len(rows) > 80
     assert np.array_equal(rows, expect_rows) and np.array_equal(cols, expect_cols)
 
@@ -566,6 +640,35 @@ class TestCli:
         for name in written:
             assert (tmp_path / "out" / name).read_bytes() == (
                 tmp_path / "plain" / name).read_bytes(), name
+
+    def test_summary_line_printed_by_the_cli_only(self, run, mini_dict, tmp_path, capsys):
+        cfg, mini_out, _ = run
+        off = mini_out / "offline.ogm"
+        metrics = run_scenario(cfg, offline=read_map(off), output_dir=str(tmp_path / "lib"))
+        assert capsys.readouterr().out == ""
+        cfg_path = self._write_cfg(mini_dict, tmp_path)
+        assert main(["run", str(cfg_path), "--offline", str(off),
+                     "--output", str(tmp_path / "cli")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(r"ticks=\d+ trace_region_cells=\d+ trace_persistence=(\d+|none) "
+                            r"final_iou=[0-9.]+ total_wall_s=[0-9.]+", lines[0]), lines
+        assert lines[0].startswith(
+            f"ticks={cfg.n_ticks} trace_region_cells={metrics.trace_offline.size} "
+            f"trace_persistence={metrics.trace_persistence} "
+            f"final_iou={metrics.final_iou:.6f} total_wall_s="), lines
+
+    @pytest.mark.parametrize("output_dir", [None, "from_config"])
+    def test_run_output_directory_fallback(self, run, mini_dict, tmp_path, monkeypatch,
+                                           output_dir):
+        # --output, else the config's output_dir, else ./out
+        _, mini_out, _ = run
+        if output_dir:
+            mini_dict["output_dir"] = output_dir
+        cfg_path = self._write_cfg(mini_dict, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(cfg_path), "--offline", str(mini_out / "offline.ogm")]) == 0
+        assert (tmp_path / (output_dir or "out") / "metrics.csv").is_file()
 
     def test_run_rejects_offline_on_another_lattice(self, mini_dict, tmp_path, capsys):
         off = tmp_path / "coarse.ogm"

@@ -81,13 +81,6 @@ class TestTrajectories:
             DynamicObject("x", 1.0, 1.0, 1.0,
                           [Pose(0, 0, 0, t=1.0), Pose(1, 0, 0, t=1.0)])
 
-    def test_footprint_corners_rotate(self):
-        obj = DynamicObject("x", 4.0, 2.0, 1.0,
-                            [Pose(0, 0, math.pi / 2, t=0.0)])
-        corners = obj.footprint_corners(0.0)
-        assert corners[:, 0].max() == pytest.approx(1.0)
-        assert corners[:, 1].max() == pytest.approx(2.0)
-
 
 class TestGroundReturns:
     def test_downward_beams_hit_ground_at_analytic_range(self):
