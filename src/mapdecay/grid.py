@@ -45,13 +45,6 @@ def logodds_from_prob(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
-def prob_from_logodds(l: float) -> float:
-    """Inverse of :func:`logodds_from_prob`; returns a value in (0, 1)."""
-    if not math.isfinite(l):
-        raise DomainError(f"log-odds must be finite, got {l!r}")
-    return 1.0 / (1.0 + math.exp(-l))
-
-
 def update_cell(current, measurement, lo: float = L_MIN, hi: float = L_MAX):
     """Add measurement evidence to a cell and clamp the result to [lo, hi].
     Works on floats and elementwise on arrays alike."""
@@ -95,16 +88,6 @@ def deviates(on, off):
     """Where ``on`` differs from ``off`` or is a -0.0 (a decay step toward an
     equal ``off`` makes it +0.0); elsewhere decay leaves ``on`` bit for bit."""
     return (on != off) | (on == 0.0) & np.signbit(on)
-
-
-def decay_cell_pow(on: float, off: float, params: DecayParams, k: int) -> float:
-    """Closed form of ``k`` iterated :func:`decay_cell` steps, their test
-    oracle: bit for bit at ``k = 1``, only to rounding for larger ``k``."""
-    if k < 0:
-        raise ParameterError(f"step count must be nonnegative, got {k}")
-    if k == 0:
-        return on
-    return off + (on - off) * params.retention ** k
 
 
 @dataclass
@@ -171,7 +154,9 @@ class GridMap:
         return self.values.shape
 
     def contains_point(self, x, y):
-        return self.contains_cell(*self.cell_of(x, y))
+        """:meth:`cell_of`'s rule on the floored floats, before any int64 cast can overflow."""
+        return self.contains_cell(np.floor((x - self.origin_x) / self.resolution),
+                                  np.floor((y - self.origin_y) / self.resolution))
 
     def copy(self) -> "GridMap":
         return GridMap(self.resolution, self.origin_x, self.origin_y,

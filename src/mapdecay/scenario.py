@@ -93,10 +93,15 @@ class ScenarioConfig:
                               f"the {_MAX_ELEMENTS} rays a sweep can hold")
         # poses between knots lie on segments, and the extent and bounds are convex
         grid = self.offline_grid()
-        for name in ("ego_trajectory", "offline_trajectory"):
-            for i, knot in enumerate(getattr(self, name)):
-                for area, contains in (("extent", grid.contains_point),
-                                       ("world.bounds", self.world.bounds.contains)):
+        extent = ("extent", grid.contains_point)
+        bounds = ("world.bounds", self.world.bounds.contains)
+        paths = [(name, getattr(self, name), (extent, bounds))
+                 for name in ("ego_trajectory", "offline_trajectory")]
+        paths += [(f"world.dynamic_objects[{j}].trajectory", obj.trajectory, (bounds,))
+                  for j, obj in enumerate(self.world.dynamic_objects)]
+        for name, knots, areas in paths:
+            for i, knot in enumerate(knots):
+                for area, contains in areas:
                     if not contains(knot.x, knot.y):
                         raise ConfigError(f"{name}[{i}]: knot ({knot.x!r}, {knot.y!r}) "
                                           f"lies outside {area}")
@@ -162,6 +167,8 @@ def _read_rect(raw, path: str) -> Rect:
     rect = Rect(*_read_numbers(raw, path))
     if rect.x_min >= rect.x_max or rect.y_min >= rect.y_max:
         raise ConfigError(f"{path}: degenerate rectangle")
+    if not (math.isfinite(rect.x_max - rect.x_min) and math.isfinite(rect.y_max - rect.y_min)):
+        raise ConfigError(f"{path}: a side is longer than the largest float")
     return rect
 
 
@@ -347,19 +354,12 @@ class RunMetrics:
             return None
         seen = self.last_observed[self.last_observed >= 0]
         start = int(seen.max()) if seen.size else 0
-        return persistence_from_stream(self.trace_max_dev[start:], self.epsilon_trace)
+        return next((i for i, v in enumerate(self.trace_max_dev[start:])
+                     if v < self.epsilon_trace), None)
 
     @property
     def final_iou(self) -> float:
         return float(self.iou[-1]) if len(self.iou) else 1.0
-
-
-def persistence_from_stream(max_dev, eps_trace: float) -> Optional[int]:
-    """First index at which the deviation stream drops below eps, else None."""
-    for i, v in enumerate(max_dev):
-        if v < eps_trace:
-            return i
-    return None
 
 
 def occupancy_iou(a_values: np.ndarray, b_values: np.ndarray,

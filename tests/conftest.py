@@ -1,10 +1,30 @@
 from __future__ import annotations
 
 import copy
+import math
 
 import pytest
 
-from mapdecay import config_from_dict
+from mapdecay import DecayParams, DomainError, ParameterError, config_from_dict
+
+
+# Oracles of the log-odds and decay rules in mapdecay.grid; no library code calls them.
+def prob_from_logodds(l: float) -> float:
+    """Inverse of :func:`logodds_from_prob`; returns a value in (0, 1)."""
+    if not math.isfinite(l):
+        raise DomainError(f"log-odds must be finite, got {l!r}")
+    return 1.0 / (1.0 + math.exp(-l))
+
+
+def decay_cell_pow(on: float, off: float, params: DecayParams, k: int) -> float:
+    """Closed form of ``k`` iterated :func:`decay_cell` steps, their test
+    oracle: bit for bit at ``k = 1``, only to rounding for larger ``k``."""
+    if k < 0:
+        raise ParameterError(f"step count must be nonnegative, got {k}")
+    if k == 0:
+        return on
+    return off + (on - off) * params.retention ** k
+
 
 # A desk-size scenario that runs in a couple of seconds: a stationary ego, a
 # short wall to the north, and a tall cart that drives east through the

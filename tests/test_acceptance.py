@@ -31,34 +31,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import decay_cell_pow, prob_from_logodds
 
 from mapdecay import (
-    L_MAX,
-    L_MIN,
     DecayParams,
     GridMap,
-    Pose,
     apply_instant,
     build_instant_map,
     config_from_dict,
-    decay_cell,
-    decay_cell_pow,
     ego_pose_at,
     load_config,
-    logodds_from_prob,
     online_init,
     online_step,
-    prob_from_logodds,
-    raycast_cells,
     read_map,
-    render_frame,
     run_scenario,
     simulate_sweep,
-    update_cell,
     write_map,
 )
-from mapdecay.instant import InstantMap
-from mapdecay.scenario import build_offline_phase
+from mapdecay.grid import L_MAX, L_MIN, decay_cell, logodds_from_prob, update_cell
+from mapdecay.instant import InstantMap, raycast_cells
+from mapdecay.scenario import build_offline_phase, render_frame
+from mapdecay.world import Pose
 
 OVERTAKE = Path(__file__).resolve().parent.parent / "configs" / "overtake.json"
 WEIGHTS = DecayParams(10.0, 1.0)

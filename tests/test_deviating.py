@@ -24,28 +24,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mapdecay import (
-    L_FREE_SET,
-    L_MAX,
-    L_MIN,
     DecayParams,
     GridMap,
-    Pose,
     apply_instant,
     config_from_dict,
-    decay_cell,
     ego_pose_at,
     load_config,
-    logodds_from_prob,
-    occupancy_iou,
     online_init,
     online_step,
     read_map,
     run_scenario,
 )
 from mapdecay import fusion, scenario
-from mapdecay.grid import deviates
-from mapdecay.instant import InstantMap
-from mapdecay.scenario import build_offline_phase
+from mapdecay.grid import L_MAX, L_MIN, decay_cell, deviates, logodds_from_prob
+from mapdecay.instant import L_FREE_SET, InstantMap
+from mapdecay.scenario import build_offline_phase, occupancy_iou
+from mapdecay.world import Pose
 
 OVERTAKE = Path(__file__).resolve().parent.parent / "configs" / "overtake.json"
 OCC_CUT = logodds_from_prob(0.9)

@@ -4,34 +4,30 @@ import math
 
 import numpy as np
 import pytest
+from conftest import decay_cell_pow
 from hypothesis import given, settings, strategies as st
 
 from mapdecay import (
-    L_FREE_SET,
-    L_MAX,
-    L_MIN,
-    L_OCC,
     AlignmentError,
-    CleanParams,
     DecayParams,
     GridMap,
     LogError,
     ParameterError,
-    Pose,
     ScenarioError,
     apply_decay,
     build_offline,
     clean_offline,
-    decay_cell_pow,
     ego_pose_at,
-    offline_window,
     online_init,
     online_step,
     recenter,
     simulate_sweep,
 )
-from mapdecay.instant import KIND_OCCUPIED
+from mapdecay.fusion import CleanParams, offline_window
+from mapdecay.grid import L_MAX, L_MIN
+from mapdecay.instant import KIND_OCCUPIED, L_FREE_SET, L_OCC
 from mapdecay.scenario import build_offline_phase
+from mapdecay.world import Pose
 
 
 class TestBuildOffline:

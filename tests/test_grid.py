@@ -7,27 +7,28 @@ import sys
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from conftest import decay_cell_pow, prob_from_logodds
 from hypothesis import given, reject, strategies as st
 
 from mapdecay import (
-    L_MAX,
-    L_MIN,
     AlignmentError,
     DecayParams,
     DomainError,
     GridMap,
     ParameterError,
     apply_decay,
-    decay_cell,
-    decay_cell_pow,
-    logodds_from_prob,
-    prob_from_logodds,
     read_map,
-    update_cell,
     write_map,
 )
 from mapdecay.errors import BadMagicError, TruncatedMapError, VersionMismatchError
-from mapdecay.grid import MAP_MAGIC
+from mapdecay.grid import (
+    L_MAX,
+    L_MIN,
+    MAP_MAGIC,
+    decay_cell,
+    logodds_from_prob,
+    update_cell,
+)
 
 
 class TestLogOdds:

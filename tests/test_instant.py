@@ -8,31 +8,26 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from mapdecay import (
-    L_FREE_SET,
-    L_MAX,
-    L_MIN,
-    L_OCC,
     AlignmentError,
-    Box,
     GridMap,
-    ObstacleThresholds,
-    Pose,
-    Rect,
     SensorConfig,
-    World,
     apply_instant,
     build_instant_map,
-    raycast_cells,
     simulate_sweep,
-    update_cell,
 )
+from mapdecay.grid import L_MAX, L_MIN, update_cell
 from mapdecay.instant import (
     KIND_FREE_SET,
     KIND_OCCUPIED,
     KIND_UNTOUCHED,
+    L_FREE_SET,
+    L_OCC,
     InstantMap,
+    ObstacleThresholds,
     obstacle_mask,
+    raycast_cells,
 )
+from mapdecay.world import Box, Pose, Rect, World
 
 
 def dense_line_cells(frm, to, step=0.01):

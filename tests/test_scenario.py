@@ -25,24 +25,24 @@ from mapdecay import (
     DecayParams,
     DomainError,
     GridMap,
-    L_FREE_SET,
-    L_MAX,
-    L_MIN,
-    L_OCC,
     apply_decay,
     apply_instant,
     config_from_dict,
     load_config,
-    occupancy_iou,
-    persistence_from_stream,
     read_map,
-    render_frame,
     run_scenario,
     write_map,
 )
 from mapdecay.cli import main
-from mapdecay.instant import InstantMap
-from mapdecay.scenario import build_offline_phase, compute_trace_region
+from mapdecay.grid import L_MAX, L_MIN
+from mapdecay.instant import L_FREE_SET, L_OCC, InstantMap
+from mapdecay.scenario import (
+    RunMetrics,
+    build_offline_phase,
+    compute_trace_region,
+    occupancy_iou,
+    render_frame,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -142,13 +142,28 @@ class TestConfigValidation:
         (None, "resolution", 1e-300, "extent: 4.8e+301x4.8e+301 cells of 1e-300 m exceed the "
          "1152921504606846975 cells a map can hold"),
         (None, "extent", [-1e18, -1e18, 1e18, 1e18], "extent: 1e+19x1e+19 cells of 0.2 m"),
+        # a knot no int64 cell index can hold is outside the extent, without a cast
+        (None, "ego_trajectory", [[0.0, 0.0, 0.0, 0.0], [7.0, 1e300, 0.0, 0.0]],
+         "ego_trajectory[1]: knot (1e+300, 0.0) lies outside extent"),
+        # a dynamic object may leave the +-24 m map, but not the +-30 m world
+        ("world", "dynamic_objects",
+         [{"name": "cart", "length": 1.2, "width": 0.8, "height": 2.4,
+           "trajectory": [[0.5, -4.0, 2.5, 0.0], [4.0, 500.0, 2.5, 0.0]]}],
+         "world.dynamic_objects[0].trajectory[1]: knot (500.0, 2.5) lies outside world.bounds"),
+        # sides whose length overflows a float, though each end is finite
+        ("world", "bounds", [-1.7e308, -30.0, 1.7e308, 30.0],
+         "world.bounds: a side is longer than the largest float"),
+        (None, "extent", [-24.0, -1.7e308, 24.0, 1.7e308],
+         "extent: a side is longer than the largest float"),
     ], ids=["bounds", "extent", "vertical_angles", "nan", "inf", "huge_int",
             "tick_overflow", "partial_cell", "offline_tick_overflow", "knot_outside_extent",
             "no_beams", "negative_beams", "negative_offline_tick_rate", "negative_seed",
             "huge_window", "window_overflow", "inverted_box", "short_duration",
             "slow_tick_rate", "knot_outside_bounds", "negative_mount_height",
             "zero_mount_height", "negative_max_range", "azimuth_2e60", "azimuth_1e30",
-            "azimuth_2e63", "beams_2e63", "beams_2e60", "tiny_resolution", "huge_extent"])
+            "azimuth_2e63", "beams_2e63", "beams_2e60", "tiny_resolution", "huge_extent",
+            "knot_beyond_int64", "object_knot_outside_bounds", "bounds_side_overflow",
+            "extent_side_overflow"])
     def test_malformed_numbers_rejected(self, mini_dict, tmp_path, capsys,
                                         section, key, value, path):
         (mini_dict[section] if section else mini_dict)[key] = value
@@ -220,15 +235,23 @@ def _iou_cases(draw):
     return a_values, b_values, mask
 
 
+def persistence(max_dev, eps_trace: float):
+    """``trace_persistence`` of one never-observed trace cell at offline 0.0
+    whose value at each tick is the ``max_dev`` stream."""
+    ticks = np.zeros(len(max_dev))
+    return RunMetrics(np.zeros(1), np.asarray(max_dev, dtype=float)[:, None], np.array([-1]),
+                      ticks, ticks, ticks, ticks, ticks, eps_trace).trace_persistence
+
+
 class TestMetrics:
     def test_persistence_examples(self):
-        assert persistence_from_stream([0.0, 0.0], 0.1) == 0
-        assert persistence_from_stream([1.0, 0.5, 0.05], 0.1) == 2
-        assert persistence_from_stream([1.0, 0.5], 0.1) is None
+        assert persistence([0.0, 0.0], 0.1) == 0
+        assert persistence([1.0, 0.5, 0.05], 0.1) == 2
+        assert persistence([1.0, 0.5], 0.1) is None
         # a single cell left 11.0 above its offline value decays under
         # (10, 1) weights to below 0.1 on the 50th step
         stream = 11.0 * (10.0 / 11.0) ** np.arange(80)
-        assert persistence_from_stream(stream, 0.1) == 50
+        assert persistence(stream, 0.1) == 50
 
     def test_iou_examples(self):
         a = GridMap.blank(0.2, 0, 0, 4, 4)

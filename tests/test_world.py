@@ -8,19 +8,23 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mapdecay import (
-    Box,
     ConfigError,
-    DynamicObject,
     ParameterError,
-    Pose,
-    Rect,
     ScenarioError,
     SensorConfig,
-    World,
-    interpolate_pose,
     simulate_sweep,
 )
-from mapdecay.world import TAU, normalize_angle, ray_geometry
+from mapdecay.world import (
+    TAU,
+    Box,
+    DynamicObject,
+    Pose,
+    Rect,
+    World,
+    interpolate_pose,
+    normalize_angle,
+    ray_geometry,
+)
 
 
 def flat_world(boxes=(), objects=()):
