@@ -29,6 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-offline", help="build the cleaned offline map")
     p.add_argument("config", help="scenario config JSON")
     p.add_argument("output", help="output map path (.ogm)")
+    p.set_defaults(func=_cmd_build_offline)
 
     p = sub.add_parser("run", help="run a scenario")
     p.add_argument("config", help="scenario config JSON")
@@ -40,14 +41,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override the online weight")
     p.add_argument("--w-off", type=float, default=None,
                    help="override the offline weight")
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("render", help="render a saved map to PPM")
     p.add_argument("map", help="input map (.ogm)")
     p.add_argument("output", help="output image (.ppm)")
+    p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("diff", help="compare two saved maps")
     p.add_argument("a")
     p.add_argument("b")
+    p.set_defaults(func=_cmd_diff)
     return parser
 
 
@@ -99,18 +103,10 @@ def _cmd_diff(args) -> int:
     return 0 if n_diff == 0 else 1
 
 
-_COMMANDS = {
-    "build-offline": _cmd_build_offline,
-    "run": _cmd_run,
-    "render": _cmd_render,
-    "diff": _cmd_diff,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except (MapDecayError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

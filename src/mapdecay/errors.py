@@ -18,19 +18,8 @@ class AlignmentError(MapDecayError, ValueError):
 
 
 class MapFormatError(MapDecayError, ValueError):
-    """A map file cannot be parsed."""
-
-
-class BadMagicError(MapFormatError):
-    """The file does not start with the OGM1 magic bytes."""
-
-
-class VersionMismatchError(MapFormatError):
-    """The file declares an unsupported format version."""
-
-
-class TruncatedMapError(MapFormatError):
-    """The file payload is shorter (or longer) than the header promises."""
+    """A map file cannot be parsed: a bad magic or version, or a size the
+    header does not promise."""
 
 
 class ScenarioError(MapDecayError, ValueError):

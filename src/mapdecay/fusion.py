@@ -54,12 +54,10 @@ def clean_offline(grid: GridMap, params: CleanParams) -> GridMap:
     """Remove small occupied components (idempotent, returns a new map)."""
     out = grid.copy()
     occ = out.values > logodds_from_prob(params.occ_threshold)
-    labels, n = ndimage.label(occ, structure=np.ones((3, 3), dtype=int))
-    if n:
-        sizes = np.bincount(labels.reshape(-1))
-        small = sizes < params.min_component_cells
-        small[0] = False
-        out.values[small[labels]] = L_FREE_SET
+    labels, _ = ndimage.label(occ, structure=np.ones((3, 3), dtype=int))
+    small = np.bincount(labels.reshape(-1), minlength=1) < params.min_component_cells
+    small[0] = False  # the unoccupied cells
+    out.values[small[labels]] = L_FREE_SET
     return out
 
 

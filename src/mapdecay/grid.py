@@ -20,14 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    BadMagicError,
-    DomainError,
-    ParameterError,
-    TruncatedMapError,
-    VersionMismatchError,
-)
+from .errors import AlignmentError, DomainError, MapFormatError, ParameterError
 
 #: Clamp bounds for stored log-odds values.
 L_MIN = -10.0
@@ -224,17 +217,16 @@ def read_map(path) -> GridMap:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size:
-        raise TruncatedMapError("file shorter than the OGM1 header")
+        raise MapFormatError("file shorter than the OGM1 header")
     magic, version, resolution, ox, oy, width, height = _HEADER.unpack_from(blob)
     if magic != MAP_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {MAP_MAGIC!r}")
+        raise MapFormatError(f"bad magic {magic!r}, expected {MAP_MAGIC!r}")
     if version != MAP_VERSION:
-        raise VersionMismatchError(f"unsupported map version {version}")
+        raise MapFormatError(f"unsupported map version {version}")
     n = width * height
     expected = _HEADER.size + 8 * n + (n + 7) // 8
     if len(blob) != expected:
-        raise TruncatedMapError(
-            f"payload size mismatch: expected {expected} bytes, got {len(blob)}")
+        raise MapFormatError(f"payload size mismatch: expected {expected} bytes, got {len(blob)}")
     values = np.frombuffer(blob, dtype="<f8", count=n, offset=_HEADER.size)
     values = values.reshape(height, width).astype(np.float64)
     bits = np.frombuffer(blob, dtype=np.uint8, offset=_HEADER.size + 8 * n)

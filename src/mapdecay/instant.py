@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import AlignmentError, ParameterError
 from .grid import GridMap, logodds_from_prob, update_cell
-from .world import Sweep, ray_geometry
+from .world import Sweep
 
 #: Evidence added to a cell per obstacle return.
 L_OCC = logodds_from_prob(0.9)
@@ -72,13 +72,8 @@ def raycast_cells(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.
     ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
     delta = ends - starts
     counts = np.abs(delta).max(axis=1)
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
     ray = np.repeat(np.arange(len(counts)), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    step = np.arange(total) - np.repeat(offsets, counts)
+    step = np.arange(len(ray)) - np.repeat(np.cumsum(counts) - counts, counts)
     frac = step / counts[ray]
     cols = np.rint(starts[ray, 0] + frac * delta[ray, 0]).astype(np.int64)
     rows = np.rint(starts[ray, 1] + frac * delta[ray, 1]).astype(np.int64)
@@ -115,7 +110,7 @@ def build_instant_map(sweep: Sweep, grid: GridMap,
         raise AlignmentError("instant map extent does not contain the sensor position")
 
     kind = np.zeros(grid.shape, dtype=np.uint8)
-    origin, dx, dy, dz = ray_geometry(sweep.ego_pose, sweep.sensor, sweep.ground_z)
+    origin, dx, dy, dz = sweep.rays
 
     def hit_xy(rays):  # world xy of the returns of the rays that ``rays`` indexes
         r = sweep.ranges[rays]

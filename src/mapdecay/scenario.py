@@ -111,6 +111,10 @@ class ScenarioConfig:
         if side * side > grid.width * grid.height:
             raise ConfigError(f"window_size: {side}x{side} cells exceed the extent's "
                               f"{grid.width}x{grid.height}")
+        # so that every cell index within max_range of the ego fits an int64
+        if self.sensor.max_range / self.resolution > _MAX_ELEMENTS:
+            raise ConfigError(f"sensor.max_range: {self.sensor.max_range!r} m spans more than "
+                              f"the {_MAX_ELEMENTS} cells a map can hold")
 
     @property
     def n_ticks(self) -> int:
@@ -221,7 +225,7 @@ def _read_section(raw, path: str, fields: dict, build):
     try:
         return build(**values)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
+        raise ConfigError(f"{path.rstrip('.')}: {exc}" if path else str(exc)) from exc
 
 
 def _section(fields: dict, build):
@@ -338,8 +342,7 @@ class RunMetrics:
 
     @cached_property
     def trace_max_dev(self) -> np.ndarray:
-        dev = self.trace_dev
-        return dev.max(axis=1) if dev.size else np.zeros(dev.shape[0])
+        return self.trace_dev.max(axis=1, initial=0.0)
 
     @property
     def peak_dev(self) -> np.ndarray:

@@ -123,12 +123,12 @@ class World:
         names = [obj.name for obj in self.dynamic_objects]
         if len(set(names)) < len(names):
             raise ConfigError(f"duplicate dynamic object names in {names}")
-        for box in self.static_boxes:
+        for i, box in enumerate(self.static_boxes):
             if box.z_top <= self.ground_z:
-                raise ConfigError("static box top must be above the ground plane")
+                raise ConfigError(f"static_boxes[{i}]: top must be above the ground plane")
             if not (self.bounds.contains(box.x_min, box.y_min)
                     and self.bounds.contains(box.x_max, box.y_max)):
-                raise ConfigError("static box lies outside the world bounds")
+                raise ConfigError(f"static_boxes[{i}]: lies outside the world bounds")
 
     def without_dynamic(self) -> "World":
         return World(self.ground_z, self.bounds, list(self.static_boxes), [])
@@ -167,12 +167,12 @@ class SensorConfig:
 
 @dataclass
 class Sweep:
-    """One revolution at ``ego_pose`` and its time by ``sensor`` over a ground
-    plane at ``ground_z``.  ``ranges[i, b]`` is ray (i, b)'s distance along its
-    unit direction from :func:`ray_geometry`, inf where it has no return."""
+    """One revolution at ``ego_pose`` and its time over a ground plane at
+    ``ground_z``.  ``ranges[i, b]`` is ray (i, b)'s distance along its unit
+    direction in ``rays``, from :func:`ray_geometry`; inf = no return."""
     ego_pose: Pose
     ranges: np.ndarray              # (n_scans, n_beams), inf = no return
-    sensor: SensorConfig
+    rays: tuple                     # (origin, dx, dy, dz)
     ground_z: float
 
 
@@ -249,7 +249,8 @@ def simulate_sweep(world: World, ego: Pose, cfg: SensorConfig,
         raise ParameterError("noise_sigma > 0 needs a random generator")
 
     n_az = cfg.azimuth_steps
-    origin, dx, dy, dz = ray_geometry(ego, cfg, world.ground_z)
+    rays = ray_geometry(ego, cfg, world.ground_z)
+    origin, dx, dy, dz = rays
     ground = world.ground_z
 
     # the ground plane, per beam
@@ -274,8 +275,10 @@ def simulate_sweep(world: World, ego: Pose, cfg: SensorConfig,
             best[rows] = np.minimum(best[rows], enter)
 
     if cfg.noise_sigma > 0.0:
+        # drawn for every ray, so the stream does not depend on the returns
         noise = rng.normal(0.0, cfg.noise_sigma, best.shape)
-        best = np.where(np.isfinite(best), np.maximum(best + noise, 1e-3), best)
+        hit = np.isfinite(best)
+        best[hit] = np.maximum(best[hit] + noise[hit], 1e-3)
 
-    return Sweep(ego, np.where(best <= cfg.max_range, best, np.inf), cfg, world.ground_z)
+    return Sweep(ego, np.where(best <= cfg.max_range, best, np.inf), rays, world.ground_z)
 

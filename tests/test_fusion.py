@@ -80,6 +80,15 @@ class TestCleanOffline:
         again = clean_offline(out, CleanParams(0.5, 6))
         np.testing.assert_array_equal(out.values, again.values)
 
+    def test_no_occupied_cell_leaves_the_map_alone(self):
+        g = self._grid()
+        g.values[3, 3] = 0.0  # at the threshold, not above it
+        out = clean_offline(g, CleanParams(0.5, 6))
+        assert out.values.tobytes() == g.values.tobytes()
+        np.testing.assert_array_equal(out.observed, g.observed)
+        empty = GridMap.blank(0.2, 0.0, 0.0, 0, 0)
+        assert clean_offline(empty, CleanParams(0.5, 6)).shape == (0, 0)
+
     def test_param_validation(self):
         with pytest.raises(ParameterError):
             CleanParams(0.0, 6)

@@ -15,12 +15,12 @@ from mapdecay import (
     DecayParams,
     DomainError,
     GridMap,
+    MapFormatError,
     ParameterError,
     apply_decay,
     read_map,
     write_map,
 )
-from mapdecay.errors import BadMagicError, TruncatedMapError, VersionMismatchError
 from mapdecay.grid import (
     L_MAX,
     L_MIN,
@@ -269,7 +269,7 @@ class TestMapFormat:
         blob = bytearray(path.read_bytes())
         blob[:4] = b"NOPE"
         path.write_bytes(bytes(blob))
-        with pytest.raises(BadMagicError):
+        with pytest.raises(MapFormatError, match=r"^bad magic b'NOPE', expected b'OGM1'$"):
             read_map(path)
 
     def test_bad_version(self, tmp_path):
@@ -278,16 +278,18 @@ class TestMapFormat:
         blob = bytearray(path.read_bytes())
         blob[4:6] = struct.pack("<H", 9)
         path.write_bytes(bytes(blob))
-        with pytest.raises(VersionMismatchError):
+        with pytest.raises(MapFormatError, match="^unsupported map version 9$"):
             read_map(path)
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "bad.ogm"
         write_map(self._grid(), path)
         blob = path.read_bytes()
-        for cut in (3, len(blob) - 1):
+        for cut, message in ((3, "^file shorter than the OGM1 header$"),
+                             (len(blob) - 1, rf"^payload size mismatch: expected {len(blob)} "
+                                             rf"bytes, got {len(blob) - 1}$")):
             path.write_bytes(blob[:cut])
-            with pytest.raises(TruncatedMapError):
+            with pytest.raises(MapFormatError, match=message):
                 read_map(path)
 
     def test_magic_constant(self):

@@ -65,6 +65,14 @@ class TestRaycast:
     def test_empty_when_endpoints_coincide(self):
         assert line_cells((4, 4), (4, 4)) == []
 
+    @pytest.mark.parametrize("starts, ends", [
+        (np.empty((0, 2)), np.empty((0, 2))),  # no rays
+        ([(4, 4), (-2, 7)], [(4, 4), (-2, 7)]),  # only zero-length rays
+    ], ids=["no_rays", "zero_length"])
+    def test_no_cells_are_three_empty_int64_arrays(self, starts, ends):
+        for out in raycast_cells(np.array(starts), np.array(ends)):
+            assert out.shape == (0,) and out.dtype == np.int64
+
     def test_reverse_direction(self):
         cells = line_cells((5, 2), (1, 2))
         assert cells == [(5, 2), (4, 2), (3, 2), (2, 2)]

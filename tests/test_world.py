@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,9 +40,9 @@ def small_sensor(**kw):
 
 
 def sweep_points(sweep):
-    """(n_scans, n_beams, 3) return points derived from the ranges through
-    ``ray_geometry``, NaN where there is no return."""
-    origin, dx, dy, dz = ray_geometry(sweep.ego_pose, sweep.sensor, sweep.ground_z)
+    """(n_scans, n_beams, 3) return points derived from the ranges along
+    ``sweep.rays``, NaN where there is no return."""
+    origin, dx, dy, dz = sweep.rays
     returned = np.isfinite(sweep.ranges)
     safe = np.where(returned, sweep.ranges, 0.0)
     points = np.stack([origin[0] + safe * dx, origin[1] + safe * dy, origin[2] + safe * dz],
@@ -193,6 +194,17 @@ class TestSweepBehavior:
         c = simulate_sweep(w, Pose(0, 0, 0, 0), cfg, np.random.default_rng(2))
         np.testing.assert_array_equal(a.ranges, b.ranges)
         assert not np.array_equal(a.ranges, c.ranges)
+
+    def test_noise_leaves_no_returns_alone(self):
+        # noise of 1e308 overflows to +-inf on some rays; added to a no-return
+        # ray's inf it would make a NaN and warn
+        cfg = small_sensor(noise_sigma=1e308, azimuth_steps=720)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = simulate_sweep(flat_world(), Pose(0, 0, 0, 0), cfg, np.random.default_rng(0))
+        finite = sweep.ranges[np.isfinite(sweep.ranges)]
+        assert finite.size and np.all(finite == 1e-3)
+        assert not np.isnan(sweep.ranges).any()
 
     def test_noise_without_a_generator_rejected(self):
         with pytest.raises(ParameterError, match="noise_sigma"):
@@ -410,7 +422,8 @@ class TestDerivedPoints:
         world = World(ground_z, world.bounds, world.static_boxes, world.dynamic_objects)
         cfg = dataclasses.replace(cfg, mount_height=mount_height)
         sweep = simulate_sweep(world, ego, cfg, np.random.default_rng(seed))
-        assert sweep.sensor is cfg
+        for stored, fresh in zip(sweep.rays, ray_geometry(ego, cfg, ground_z), strict=True):
+            assert np.array_equal(stored, fresh)
         assert sweep.ground_z == ground_z
         assert np.array_equal(sweep_points(sweep),
                               parent_hit_points(world, ego, cfg, sweep.ranges), equal_nan=True)
