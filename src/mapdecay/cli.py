@@ -10,13 +10,12 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
 
 from .errors import AlignmentError, MapDecayError
-from .grid import DecayParams, check_values, read_map, write_map
+from .grid import check_values, read_map, write_map
 from .scenario import build_offline_phase, load_config, render_frame, run_scenario
 
 
@@ -35,12 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="scenario config JSON")
     p.add_argument("--offline", help="reuse a prebuilt offline map", default=None)
     p.add_argument("--output", help="output directory", default=None)
-    p.add_argument("--no-decay", action="store_true",
-                   help="disable the per-tick pull toward the offline map")
-    p.add_argument("--w-on", type=float, default=None,
-                   help="override the online weight")
-    p.add_argument("--w-off", type=float, default=None,
-                   help="override the offline weight")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("render", help="render a saved map to PPM")
@@ -66,10 +59,6 @@ def _cmd_build_offline(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    decay = DecayParams(cfg.decay.w_on if args.w_on is None else args.w_on,
-                        cfg.decay.w_off if args.w_off is None else args.w_off,
-                        enabled=cfg.decay.enabled and not args.no_decay)
-    cfg = dataclasses.replace(cfg, decay=decay)
     offline = read_map(args.offline) if args.offline else build_offline_phase(cfg)
     metrics = run_scenario(cfg, offline, args.output or cfg.output_dir or "out")
     persistence = metrics.trace_persistence

@@ -132,9 +132,7 @@ def _move(online: OnlineMap, cell: tuple[int, int], cells: int) -> None:
                      np.s_[rows, :cols.start], np.s_[rows, cols.stop:]):
         new.values[entering] = prior[entering]
         deviating[entering] = deviates(prior[entering], prior[entering])
-    old.values, old.observed = new.values, new.observed
-    old.origin_x, old.origin_y = new.origin_x, new.origin_y
-    online.deviating = deviating
+    online.grid, online.deviating = new, deviating
 
 
 def online_init(offline: GridMap, ego: Pose, window_size: float) -> OnlineMap:

@@ -33,7 +33,7 @@ _HEADER = struct.Struct("<4sHdddII")
 
 def logodds_from_prob(p: float) -> float:
     """Return ``ln(p / (1 - p))`` for a probability in the open unit interval."""
-    if not (0.0 < p < 1.0) or math.isnan(p):
+    if not 0.0 < p < 1.0:
         raise DomainError(f"probability must be in (0, 1), got {p!r}")
     return math.log(p / (1.0 - p))
 
@@ -57,8 +57,6 @@ class DecayParams:
     enabled: bool = True
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.w_on) and math.isfinite(self.w_off)):
-            raise ParameterError("decay weights must be finite")
         if self.w_on < 0.0 or self.w_off < 0.0:
             raise ParameterError("decay weights must be nonnegative")
         if not 0.0 < self.w_on + self.w_off < math.inf:

@@ -60,20 +60,30 @@ def _nudged_cells(grid: GridMap, px: np.ndarray, py: np.ndarray, sx: float, sy: 
     return grid.cell_of(px + step * dx / norm, py + step * dy / norm)
 
 
-def raycast_cells(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def raycast_cells(starts: np.ndarray, ends: np.ndarray,
+                  shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grid-line traversal for a batch of rays in cell-index space.
 
     For each ray the line from start to end is stepped in max(|dx|, |dy|)
     unit steps along the dominant axis, rounding the other coordinate, which
     visits one cell per step, inclusive of start and exclusive of end.
     Returns (ray_index, cols, rows) flat arrays.
+
+    The steps whose dominant coordinate, which moves one cell a step, lies more
+    than one cell off a grid of ``shape`` (rows, cols) are not taken: a ray costs
+    at most the grid's side plus two steps and visits the full traversal's cells
+    on the grid.  Beyond 2**52 cells a ray's float steps are degenerate.
     """
     starts = np.asarray(starts, dtype=np.int64).reshape(-1, 2)
     ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
     delta = ends - starts
     counts = np.abs(delta).max(axis=1)
-    ray = np.repeat(np.arange(len(counts)), counts)
-    step = np.arange(len(ray)) - np.repeat(np.cumsum(counts) - counts, counts)
+    at, axis = np.arange(len(counts)), np.argmax(np.abs(delta), axis=1)
+    s, side, ahead = starts[at, axis], np.array(shape[::-1])[axis], delta[at, axis] > 0
+    first = np.clip(np.where(ahead, -1 - s, s - side), 0, counts)
+    n = np.clip(np.where(ahead, side + 1 - s, s + 2), first, counts) - first
+    ray = np.repeat(at, n)
+    step = np.arange(len(ray)) - np.repeat(np.cumsum(n) - n - first, n)
     frac = step / counts[ray]
     cols = np.rint(starts[ray, 0] + frac * delta[ray, 0]).astype(np.int64)
     rows = np.rint(starts[ray, 1] + frac * delta[ray, 1]).astype(np.int64)
@@ -91,10 +101,6 @@ class InstantMap:
     origin_x: float
     origin_y: float
     kind: np.ndarray  # uint8 (height, width)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.kind.shape
 
 
 def build_instant_map(sweep: Sweep, grid: GridMap,
@@ -141,7 +147,7 @@ def build_instant_map(sweep: Sweep, grid: GridMap,
     ends = np.stack(_nudged_cells(grid, *hit_xy((az[usable], end_beam[usable])), sx, sy,
                                   -1e-6), axis=1)
 
-    _, f_cols, f_rows = raycast_cells(starts, ends)
+    _, f_cols, f_rows = raycast_cells(starts, ends, grid.shape)
     # with no obstacle in the scan, the last ground return itself is free
     inc_end = ~any_obs[usable]
     f_cols = np.concatenate([f_cols, ends[inc_end, 0]])
@@ -166,7 +172,7 @@ def apply_instant(target: GridMap, inst: InstantMap) -> tuple[np.ndarray, np.nda
     cells are unchanged.  Returns the cells written: a bool mask of the free
     ones and the flat indices of the occupied ones.
     """
-    if not (target.shape == inst.shape and target.offset_in(inst) == (0, 0)):
+    if not (target.shape == inst.kind.shape and target.offset_in(inst) == (0, 0)):
         raise AlignmentError("instant map extent does not match the target grid")
     occ = np.flatnonzero(inst.kind == KIND_OCCUPIED)
     free = inst.kind == KIND_FREE_SET

@@ -166,7 +166,7 @@ def test_4_raycast_oracle():
     fx, fy, tx, ty = pairs.T
     major = np.maximum(np.abs(tx - fx), np.abs(ty - fy))
 
-    ray_idx, cols, rows = raycast_cells(pairs[:, :2], pairs[:, 2:])
+    ray_idx, cols, rows = raycast_cells(pairs[:, :2], pairs[:, 2:], (n, n))
     counts = np.bincount(ray_idx, minlength=len(pairs))
     assert np.array_equal(counts, major)  # one cell per major-axis step
     offsets = np.concatenate([[0], np.cumsum(counts)])

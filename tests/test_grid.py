@@ -61,6 +61,10 @@ class TestUpdateCell:
         assert update_cell(9.5, 3.0) == L_MAX
         assert update_cell(-9.5, -3.0) == L_MIN
 
+    def test_rejects_non_finite_operands(self):
+        with pytest.raises(DomainError, match="finite log-odds operands"):
+            update_cell(float("nan"), 1.0)
+
     @given(st.floats(-10, 10), st.floats(-10, 10))
     def test_stays_in_range(self, cur, meas):
         assert L_MIN <= update_cell(cur, meas) <= L_MAX
@@ -225,6 +229,8 @@ class TestGridMap:
             GridMap(0.2, 0.0, 0.0, np.zeros(5))
         with pytest.raises(ParameterError):
             GridMap(0.0, 0.0, 0.0, np.zeros((2, 2)))
+        with pytest.raises(ParameterError, match="observed mask shape must match values"):
+            GridMap(0.2, 0.0, 0.0, np.zeros((2, 2)), np.zeros((3, 3), dtype=bool))
 
     @pytest.mark.parametrize("lattice", [(math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0),
                                          (0.2, math.inf, 0.0), (0.2, 0.0, math.nan)])

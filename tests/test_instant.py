@@ -49,9 +49,44 @@ def dense_line_cells(frm, to, step=0.01):
 
 
 def line_cells(frm, to):
-    """The batch raycast of one ray, as a list of (col, row) cells."""
-    _, cols, rows = raycast_cells(np.array([frm]), np.array([to]))
+    """The batch raycast of one ray on a grid that holds it, as a list of
+    (col, row) cells."""
+    _, cols, rows = raycast_cells(np.array([frm]), np.array([to]), (16, 16))
     return list(zip(cols.tolist(), rows.tolist()))
+
+
+def full_raycast(starts, ends):
+    """Reference raycast: every step of every ray, on the grid or off it."""
+    starts = np.asarray(starts, dtype=np.int64).reshape(-1, 2)
+    ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
+    delta = ends - starts
+    counts = np.abs(delta).max(axis=1)
+    ray = np.repeat(np.arange(len(counts)), counts)
+    step = np.arange(len(ray)) - np.repeat(np.cumsum(counts) - counts, counts)
+    frac = step / counts[ray]
+    cols = np.rint(starts[ray, 0] + frac * delta[ray, 0]).astype(np.int64)
+    rows = np.rint(starts[ray, 1] + frac * delta[ray, 1]).astype(np.int64)
+    return ray, cols, rows
+
+
+def on_grid(out, shape):
+    """The (ray, cols, rows) entries whose cell lies on a grid of ``shape``."""
+    ray, cols, rows = out
+    keep = (0 <= cols) & (cols < shape[1]) & (0 <= rows) & (rows < shape[0])
+    return ray[keep], cols[keep], rows[keep]
+
+
+@st.composite
+def _ray_batches(draw):
+    """A (rows, cols) shape and rays whose ends lie up to 300 cells off it."""
+    shape = draw(st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    coord = st.integers(-300, 312)
+    n = draw(st.integers(0, 8))
+    starts = draw(hnp.arrays(np.int64, (n, 2), elements=coord))
+    ends = draw(hnp.arrays(np.int64, (n, 2), elements=coord))
+    zero_length = draw(hnp.arrays(np.bool_, n))
+    ends[zero_length] = starts[zero_length]
+    return shape, starts, ends
 
 
 class TestRaycast:
@@ -70,7 +105,7 @@ class TestRaycast:
         ([(4, 4), (-2, 7)], [(4, 4), (-2, 7)]),  # only zero-length rays
     ], ids=["no_rays", "zero_length"])
     def test_no_cells_are_three_empty_int64_arrays(self, starts, ends):
-        for out in raycast_cells(np.array(starts), np.array(ends)):
+        for out in raycast_cells(np.array(starts), np.array(ends), (8, 8)):
             assert out.shape == (0,) and out.dtype == np.int64
 
     def test_reverse_direction(self):
@@ -91,6 +126,20 @@ class TestRaycast:
             if cells:
                 assert cells[0] == frm
             assert to not in cells
+
+    @given(_ray_batches())
+    @example(((3, 5), np.array([[-300, 1], [2, 2], [12, -40], [4, 310]]),
+              np.array([[312, 2], [2, 2], [-7, 200], [0, -300]])))
+    def test_cells_on_the_grid_match_the_full_traversal(self, case):
+        shape, starts, ends = case
+        got = on_grid(raycast_cells(starts, ends, shape), shape)
+        for mine, theirs in zip(got, on_grid(full_raycast(starts, ends), shape)):
+            assert np.array_equal(mine, theirs)
+
+    def test_far_ray_costs_at_most_the_grid_side(self):
+        # 10**9 steps would not fit in memory; the grid holds 10 of them
+        ray, _, _ = raycast_cells(np.array([(0, 0)]), np.array([(10**9, 3)]), (10, 10))
+        assert len(ray) <= 13
 
 
 class TestObstacleMask:

@@ -158,6 +158,13 @@ class TestConfigValidation:
          "world.bounds: a side is longer than the largest float"),
         (None, "extent", [-24.0, -1.7e308, 24.0, 1.7e308],
          "extent: a side is longer than the largest float"),
+        (None, "extent", [1.0, 2.0, 3.0], "extent: expected [x_min, y_min, x_max, y_max]"),
+        (None, "extent", [24.0, -24.0, -24.0, 24.0], "extent: degenerate rectangle"),
+        (None, "ego_trajectory", [],
+         "ego_trajectory: expected a nonempty list of [t, x, y, yaw] knots"),
+        (None, "ego_trajectory", [[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]],
+         "ego_trajectory: knot timestamps must be strictly increasing"),
+        (None, "sensor", [], "sensor: expected an object"),
     ], ids=["bounds", "extent", "vertical_angles", "nan", "inf", "huge_int",
             "tick_overflow", "partial_cell", "offline_tick_overflow", "knot_outside_extent",
             "no_beams", "negative_beams", "negative_offline_tick_rate", "negative_seed",
@@ -167,7 +174,8 @@ class TestConfigValidation:
             "azimuth_2e60", "azimuth_1e30", "azimuth_2e63", "beams_2e63", "beams_2e60",
             "tiny_resolution", "huge_extent",
             "knot_beyond_int64", "object_knot_outside_bounds", "bounds_side_overflow",
-            "extent_side_overflow"])
+            "extent_side_overflow", "extent_of_three", "inverted_extent", "no_knots",
+            "repeated_knot_time", "sensor_not_an_object"])
     def test_malformed_numbers_rejected(self, mini_dict, tmp_path, capsys,
                                         section, key, value, path):
         (mini_dict[section] if section else mini_dict)[key] = value
@@ -209,6 +217,14 @@ class TestConfigValidation:
         ("world", {"static_boxes": [{"x_min": -8.0, "x_max": 8.0, "y_min": 6.0, "y_max": 6.4,
                                      "z_top": 0.0}]},  # the ground plane is at 0
          "world: static_boxes[0]: top must be above the ground plane"),
+        ("world", {"dynamic_objects": [dict(conftest.MINI_CONFIG["world"]["dynamic_objects"][0],
+                                            length=0.0)]},
+         "world.dynamic_objects[0]: dynamic object 'cart' must have positive dimensions"),
+        ("world", {"static_boxes": conftest.MINI_CONFIG["world"]["static_boxes"] + [
+            {"x_min": 29.0, "x_max": 31.0, "y_min": -1.0, "y_max": 1.0, "z_top": 3.0}]},
+         "world: static_boxes[1]: lies outside the world bounds"),  # the bounds end at 30
+        ("sensor", {"vertical_angles_deg": [-10.0, -20.0], "beam_count": 2},
+         "sensor: vertical angles must be strictly increasing"),
     ]
 
     @pytest.mark.parametrize("section, values, message", SECTION_CASES,
@@ -218,6 +234,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as exc:
             config_from_dict(mini_dict)
         assert str(exc.value) == message
+
+    def test_root_must_be_an_object(self):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict([])
+        assert str(exc.value) == "config: expected an object"
 
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -660,11 +681,13 @@ class TestCli:
     @pytest.mark.parametrize("a, b, expect, status", [
         (GridMap(0.2, 0.0, 0.0, np.zeros((3, 3))), GridMap(0.4, 5.0, 5.0, np.zeros((3, 3))),
          "extent mismatch", 1),
+        (GridMap(0.2, 0.0, 0.0, np.zeros((3, 3))), GridMap(0.2, 0.0, 0.0, np.zeros((2, 3))),
+         "extent mismatch", 1),  # one lattice, other cells
         (GridMap(0.2, 0.0, 0.0, np.zeros((3, 3))),
          GridMap(0.2, 0.0, 0.0, np.diag([0.0, np.nan, 0.0])), "differing_cells=1", 1),
         (GridMap(0.2, 0.0, 0.0, np.zeros((0, 0))), GridMap(0.2, 0.0, 0.0, np.zeros((0, 0))),
          "differing_cells=0", 0),
-    ], ids=["other_lattice", "nan_cell", "empty"])
+    ], ids=["other_lattice", "other_shape", "nan_cell", "empty"])
     def test_diff_checks_lattice_nan_and_empty(self, tmp_path, capsys, a, b, expect, status):
         write_map(a, tmp_path / "a.ogm")
         write_map(b, tmp_path / "b.ogm")
@@ -755,35 +778,30 @@ class TestCli:
         assert "error: offline map: 1 cell(s)" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("enabled, flags, decay", [
-        (True, ["--w-on", "5", "--w-off", "2"], DecayParams(5.0, 2.0)),
-        (True, ["--no-decay"], DecayParams(10.0, 1.0, enabled=False)),
-        (False, ["--w-on", "5"], DecayParams(5.0, 1.0, enabled=False)),
-    ], ids=["weights", "no_decay", "weights_keep_disabled"])
-    def test_decay_flags_match_replaced_config(self, run, mini_dict, tmp_path,
-                                               enabled, flags, decay):
-        _, mini_out, _ = run
-        mini_dict["decay"]["enabled"] = enabled
-        cfg_path = self._write_cfg(mini_dict, tmp_path)
-        off = mini_out / "offline.ogm"
-        cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
-        assert main(["run", str(cfg_path), "--offline", str(off),
-                     "--output", str(cli_out), *flags]) == 0
-        cfg = dataclasses.replace(config_from_dict(mini_dict), decay=decay)
-        run_scenario(cfg, offline=read_map(off), output_dir=str(lib_out))
-        for name in ("online_final.ogm", "metrics.csv"):
-            assert (cli_out / name).read_bytes() == (lib_out / name).read_bytes(), name
-
     def test_no_decay_flag_changes_result(self, mini_dict, tmp_path, capsys):
+        # the config's decay.enabled is the one switch: off, the traces stay
         cfg = self._write_cfg(mini_dict, tmp_path)
         off = tmp_path / "off.ogm"
-        main(["build-offline", str(cfg), str(off)])
-        main(["run", str(cfg), "--offline", str(off), "--output", str(tmp_path / "on")])
-        main(["run", str(cfg), "--offline", str(off), "--no-decay",
-              "--output", str(tmp_path / "off_run")])
+        assert main(["build-offline", str(cfg), str(off)]) == 0
+        assert main(["run", str(cfg), "--offline", str(off),
+                     "--output", str(tmp_path / "on")]) == 0
+        mini_dict["decay"]["enabled"] = False
+        cfg.write_text(json.dumps(mini_dict))
+        assert main(["run", str(cfg), "--offline", str(off),
+                     "--output", str(tmp_path / "off_run")]) == 0
         capsys.readouterr()
         assert main(["diff", str(tmp_path / "on" / "online_final.ogm"),
                      str(tmp_path / "off_run" / "online_final.ogm")]) == 1
+
+    @pytest.mark.parametrize("flag", [["--no-decay"], ["--w-on", "5"], ["--w-off", "2"]],
+                             ids=["no_decay", "w_on", "w_off"])
+    def test_decay_flags_are_usage_errors(self, mini_dict, tmp_path, flag):
+        # the config's decay section is the only owner of the decay settings
+        cfg = self._write_cfg(mini_dict, tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(cfg), *flag, "--output", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_render_subcommand(self, mini_dict, tmp_path, capsys):
         cfg = self._write_cfg(mini_dict, tmp_path)
@@ -823,18 +841,6 @@ class TestCli:
         cfg = self._write_cfg(mini_dict, tmp_path)
         assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
         assert "error: Unable to allocate" in capsys.readouterr().err
-
-    def test_nan_weight_flag_exits_one(self, mini_dict, tmp_path, capsys):
-        cfg = self._write_cfg(mini_dict, tmp_path)
-        assert main(["run", str(cfg), "--w-on", "nan",
-                     "--output", str(tmp_path / "out")]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_overflowing_weight_flags_exit_one(self, mini_dict, tmp_path, capsys):
-        cfg = self._write_cfg(mini_dict, tmp_path)
-        assert main(["run", str(cfg), "--w-on", "1e308", "--w-off", "1e308",
-                     "--output", str(tmp_path / "out")]) == 1
-        assert "error: w_on + w_off" in capsys.readouterr().err
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -81,6 +81,12 @@ class TestTrajectories:
         # halfway between 170 and -170 going through 180, not through 0
         assert abs(mid.yaw) == pytest.approx(math.pi, abs=1e-9)
 
+    def test_empty_trajectory_rejected(self):
+        with pytest.raises(ConfigError, match="trajectory has no knots"):
+            interpolate_pose([], 0.0)
+        with pytest.raises(ConfigError, match="'x' has an empty trajectory"):
+            DynamicObject("x", 1.0, 1.0, 1.0, [])
+
     def test_object_requires_increasing_timestamps(self):
         with pytest.raises(ConfigError):
             DynamicObject("x", 1.0, 1.0, 1.0,
