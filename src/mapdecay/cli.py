@@ -86,8 +86,9 @@ def _cmd_diff(args) -> int:
               f"{b.resolution} m at ({b.origin_x}, {b.origin_y})")
         return 1
     flags = a.observed != b.observed
-    n_diff = int(((a.values != b.values) | flags).sum())
-    print(f"max_abs_diff={np.abs(a.values - b.values).max(initial=0.0):.12g} "
+    differ = a.values != b.values  # equal cells, infinite ones too, add nothing
+    n_diff = int((differ | flags).sum())
+    print(f"max_abs_diff={np.abs(a.values[differ] - b.values[differ]).max(initial=0.0):.12g} "
           f"differing_cells={n_diff} flag_mismatches={int(flags.sum())}")
     return 0 if n_diff == 0 else 1
 

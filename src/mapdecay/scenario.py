@@ -71,9 +71,9 @@ class ScenarioConfig:
     output_dir: Optional[str]
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.duration * self.tick_rate):
-            raise ConfigError(f"duration: {self.duration!r} s at {self.tick_rate!r} Hz "
-                              "is too many ticks to count")
+        if not self.duration * self.tick_rate <= _MAX_ELEMENTS:  # also rejects inf and NaN
+            raise ConfigError(f"duration: {self.duration!r} s at {self.tick_rate!r} Hz exceeds "
+                              f"the {_MAX_ELEMENTS} ticks a run can record")
         if self.n_ticks < 1:
             raise ConfigError(f"duration: {self.duration!r} s at {self.tick_rate!r} Hz "
                               "rounds to 0 ticks")
@@ -396,7 +396,7 @@ def _mark_footprints(mask: np.ndarray, value: bool, obj: DynamicObject, times,
     n_cols, n_rows = (min(n, math.ceil(min(span, n)) + 2) for n in (grid.width, grid.height))
     batch = max(1, (1 << 18) // (n_cols * n_rows))
     for i in range(0, len(times), batch):
-        poses = [obj.pose_at(t) for t in times[i:i + batch]]
+        poses = [obj.pose_at(t) for t in times[i:i + batch].tolist()]
         px, py, ca, sa = (np.array(v)[:, None, None] for v in zip(*(
             (p.x, p.y, math.cos(-p.yaw), math.sin(-p.yaw)) for p in poses)))
         c0, r0 = _cell_near(grid, px - reach, py - reach, 0.0)
@@ -420,12 +420,12 @@ def compute_trace_region(cfg: ScenarioConfig,
     the sensor at all.  Static obstacle footprints are excluded the same way.
     """
     mask = np.zeros(offline.shape, dtype=bool)
-    times = [k / cfg.tick_rate for k in range(cfg.n_ticks)]
+    times = np.arange(cfg.n_ticks) / cfg.tick_rate
     for obj in cfg.world.dynamic_objects:
         _mark_footprints(mask, True, obj, times, offline)
     mask &= offline.observed & (offline.values < 0.0)
     for obj in cfg.world.dynamic_objects:
-        _mark_footprints(mask, False, obj, [0.0, times[-1]], offline,
+        _mark_footprints(mask, False, obj, times[[0, -1]], offline,
                          margin=3.0 * offline.resolution)
     for box in cfg.world.static_boxes:
         c0, r0 = _cell_near(offline, box.x_min, box.y_min, offline.resolution)

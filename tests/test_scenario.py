@@ -108,6 +108,7 @@ class TestConfigValidation:
         (None, "tick_rate", float("inf"), "tick_rate"),
         (None, "duration", 10**400, "duration"),  # an integer no float can hold
         (None, "duration", 1e308, "duration"),  # a tick count no float can hold
+        (None, "duration", 1e300, "duration: 1e+300 s at 20.0 Hz exceeds"),  # too many to record
         (None, "extent", [-24.0, -24.0, 24.1, 24.0], "extent"),  # 240.5 cells wide
         (None, "offline_tick_rate", 1e308, "offline_tick_rate"),  # a sweep count no float can hold
         (None, "ego_trajectory", [[0.0, 0.0, 0.0, 0.0], [7.0, 28.0, 0.0, 0.0]],
@@ -166,8 +167,9 @@ class TestConfigValidation:
          "ego_trajectory: knot timestamps must be strictly increasing"),
         (None, "sensor", [], "sensor: expected an object"),
     ], ids=["bounds", "extent", "vertical_angles", "nan", "inf", "huge_int",
-            "tick_overflow", "partial_cell", "offline_tick_overflow", "knot_outside_extent",
-            "no_beams", "negative_beams", "negative_offline_tick_rate", "negative_seed",
+            "tick_overflow", "long_run", "partial_cell", "offline_tick_overflow",
+            "knot_outside_extent", "no_beams", "negative_beams", "negative_offline_tick_rate",
+            "negative_seed",
             "huge_window", "window_overflow", "inverted_box", "short_duration",
             "slow_tick_rate", "knot_outside_bounds", "negative_mount_height",
             "zero_mount_height", "negative_max_range", "max_range_beyond_int64",
@@ -687,7 +689,10 @@ class TestCli:
          GridMap(0.2, 0.0, 0.0, np.diag([0.0, np.nan, 0.0])), "differing_cells=1", 1),
         (GridMap(0.2, 0.0, 0.0, np.zeros((0, 0))), GridMap(0.2, 0.0, 0.0, np.zeros((0, 0))),
          "differing_cells=0", 0),
-    ], ids=["other_lattice", "other_shape", "nan_cell", "empty"])
+        (GridMap(0.2, 0.0, 0.0, np.diag([np.inf, -np.inf, 0.0])),  # equal cells add nothing
+         GridMap(0.2, 0.0, 0.0, np.diag([np.inf, -np.inf, 0.0])),
+         "max_abs_diff=0 differing_cells=0 flag_mismatches=0\n", 0),
+    ], ids=["other_lattice", "other_shape", "nan_cell", "empty", "equal_infinite_cells"])
     def test_diff_checks_lattice_nan_and_empty(self, tmp_path, capsys, a, b, expect, status):
         write_map(a, tmp_path / "a.ogm")
         write_map(b, tmp_path / "b.ogm")
