@@ -81,19 +81,24 @@ class ScenarioConfig:
         if not math.isfinite(span * self.offline_tick_rate):
             raise ConfigError(f"offline_tick_rate: {self.offline_tick_rate!r} Hz over "
                               f"{span!r} s is too many sweeps to count")
+        size = []
         for side, length in (("width", self.extent.x_max - self.extent.x_min),
                              ("height", self.extent.y_max - self.extent.y_min)):
             cells = length / self.resolution
             if not (math.isfinite(cells) and math.isclose(cells, round(cells), rel_tol=1e-9)):
                 raise ConfigError(f"extent: {side} {length!r} must be a whole number of "
                                   f"{self.resolution!r} m cells")
-        steps, beams = self.sensor.azimuth_steps, self.sensor.vertical_angles.size
-        if steps * beams > _MAX_ELEMENTS:
-            raise ConfigError(f"sensor.azimuth_steps: {steps} steps x {beams} beams exceed "
-                              f"the {_MAX_ELEMENTS} rays a sweep can hold")
+            size.append(round(cells))
+        width, height = size
+        if width * height > _MAX_ELEMENTS:
+            raise ConfigError(f"extent: {width:.6g}x{height:.6g} cells of {self.resolution!r} m "
+                              f"exceed the {_MAX_ELEMENTS} cells a map can hold")
+        # the offline map's lattice, on read-only arrays that hold no memory
+        self.lattice = GridMap(self.resolution, self.extent.x_min, self.extent.y_min,
+                               np.broadcast_to(0.0, (height, width)),
+                               np.broadcast_to(False, (height, width)))
         # poses between knots lie on segments, and the extent and bounds are convex
-        grid = self.offline_grid()
-        extent = ("extent", grid.contains_point)
+        extent = ("extent", self.lattice.contains_point)
         bounds = ("world.bounds", self.world.bounds.contains)
         paths = [(name, getattr(self, name), (extent, bounds))
                  for name in ("ego_trajectory", "offline_trajectory")]
@@ -107,10 +112,12 @@ class ScenarioConfig:
                                           f"lies outside {area}")
         # the window is cut from the map, so it can be allocated when the map can
         side = self.window_size / self.resolution
-        side = max(1, round(side)) if math.isfinite(side) else side
-        if side * side > grid.width * grid.height:
+        side = round(side) if math.isfinite(side) else side
+        if side < 2:  # a one-cell window, snapped half to even, can miss the ego's cell
+            raise ConfigError(f"window_size: must be at least two {self.resolution!r} m cells")
+        if side * side > width * height:
             raise ConfigError(f"window_size: {side}x{side} cells exceed the extent's "
-                              f"{grid.width}x{grid.height}")
+                              f"{width}x{height}")
         # so that every cell index within max_range of the ego fits an int64
         if self.sensor.max_range / self.resolution > _MAX_ELEMENTS:
             raise ConfigError(f"sensor.max_range: {self.sensor.max_range!r} m spans more than "
@@ -126,15 +133,6 @@ class ScenarioConfig:
         """Number of sweeps in the offline mapping run."""
         span = self.offline_trajectory[-1].t - self.offline_trajectory[0].t
         return math.floor(span * self.offline_tick_rate) + 1
-
-    def offline_grid(self) -> GridMap:
-        """A blank grid on the offline map's lattice."""
-        width = round((self.extent.x_max - self.extent.x_min) / self.resolution)
-        height = round((self.extent.y_max - self.extent.y_min) / self.resolution)
-        if width * height > _MAX_ELEMENTS:
-            raise ConfigError(f"extent: {width:.6g}x{height:.6g} cells of {self.resolution!r} m "
-                              f"exceed the {_MAX_ELEMENTS} cells a map can hold")
-        return GridMap.blank(self.resolution, self.extent.x_min, self.extent.y_min, width, height)
 
 
 _REQUIRED = object()
@@ -240,14 +238,17 @@ def _items(fields: dict, build):
 
 
 def _sensor(beam_count, vertical_min_deg, vertical_max_deg, vertical_angles_deg,
-            sweep_rate, **rest) -> SensorConfig:
+            sweep_rate, azimuth_steps, **rest) -> SensorConfig:
     # sweep_rate is accepted so that older configs load; it is not used
+    if azimuth_steps * beam_count > _MAX_ELEMENTS:  # before any beam angle is built
+        raise ConfigError(f"azimuth_steps: {azimuth_steps} steps x {beam_count} beams exceed "
+                          f"the {_MAX_ELEMENTS} rays a sweep can hold")
     if vertical_angles_deg is None:
         vertical_angles_deg = np.linspace(vertical_min_deg, vertical_max_deg, beam_count)
     elif len(vertical_angles_deg) != beam_count:
         raise ConfigError(f"vertical_angles_deg: {len(vertical_angles_deg)} angles "
                           f"for beam_count {beam_count}")
-    return SensorConfig(vertical_angles=np.radians(vertical_angles_deg), **rest)
+    return SensorConfig(np.radians(vertical_angles_deg), azimuth_steps, **rest)
 
 
 def _scenario(obstacle, offline_trajectory, offline_tick_rate, **fields) -> ScenarioConfig:
@@ -464,7 +465,8 @@ def build_offline_phase(cfg: ScenarioConfig) -> GridMap:
     times = (t0 + k / cfg.offline_tick_rate for k in range(cfg.n_offline_ticks))
     sweeps = (simulate_sweep(world, ego_pose_at(cfg.offline_trajectory, t), cfg.sensor, rng)
               for t in times)
-    grid = cfg.offline_grid()
+    lat = cfg.lattice  # blank, not lat.copy(): np.zeros commits no page until it is written
+    grid = GridMap.blank(lat.resolution, lat.origin_x, lat.origin_y, lat.width, lat.height)
     build_offline(sweeps, grid, cfg.thresholds)
     return clean_offline(grid, cfg.clean)
 
@@ -474,10 +476,8 @@ def run_scenario(cfg: ScenarioConfig, offline: GridMap, output_dir) -> RunMetric
     and resolution and hold only values in ``[L_MIN, L_MAX]``: write frames,
     maps and a metrics CSV into ``output_dir`` and print nothing.  Outputs are
     deterministic given the config; partial ones are removed on failure."""
-    lattice = cfg.offline_grid()
-    if not (offline.shape == lattice.shape and offline.offset_in(lattice) == (0, 0)):
+    if not (offline.shape == cfg.lattice.shape and offline.offset_in(cfg.lattice) == (0, 0)):
         raise AlignmentError("offline map does not match the config's extent and resolution")
-    del lattice  # a blank map the size of the prior, not to be held for the run
     check_values(offline, "offline map")
     created: list[Path] = []
     try:

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import dataclasses
+import io
 import json
 import math
 import re
 import struct
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,7 +20,7 @@ import conftest
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mapdecay import (
     AlignmentError,
@@ -46,6 +49,8 @@ from mapdecay.scenario import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
+
+OVERTAKE = Path(__file__).resolve().parent.parent / "configs" / "overtake.json"
 
 
 class TestConfigValidation:
@@ -121,6 +126,8 @@ class TestConfigValidation:
         (None, "window_size", 1e12, "window_size: 5000000000000x5000000000000 cells exceed "
          "the extent's 240x240"),
         (None, "window_size", 1e308, "window_size: infxinf cells"),  # a side no float can hold
+        # a one-cell window, snapped half to even, can miss the ego's cell
+        (None, "window_size", 0.2, "window_size: must be at least two 0.2 m cells"),
         ("world", "static_boxes",
          [{"x_min": 8.0, "x_max": -8.0, "y_min": 6.0, "y_max": 6.4, "z_top": 3.0}],
          "world.static_boxes[0]: a box needs x_min < x_max"),
@@ -137,10 +144,13 @@ class TestConfigValidation:
          "1152921504606846975 cells a map can hold"),
         # arrays of more float64 elements than numpy can address
         ("sensor", "azimuth_steps", 2**60,
-         "sensor.azimuth_steps: 1152921504606846976 steps x 8 beams exceed the "
+         "sensor: azimuth_steps: 1152921504606846976 steps x 8 beams exceed the "
          "1152921504606846975 rays a sweep can hold"),
-        ("sensor", "azimuth_steps", 10**30, f"sensor.azimuth_steps: {10**30} steps x 8"),
-        ("sensor", "azimuth_steps", 2**63, "sensor.azimuth_steps: 9223372036854775808 steps"),
+        ("sensor", "azimuth_steps", 10**30, f"sensor: azimuth_steps: {10**30} steps x 8"),
+        ("sensor", "azimuth_steps", 2**63, "sensor: azimuth_steps: 9223372036854775808 steps"),
+        # rejected before the beam angles are built: np.linspace would ask for 64 PiB
+        ("sensor", "beam_count", 2**53 + 1, "sensor: azimuth_steps: 720 steps x "
+         "9007199254740993 beams exceed the 1152921504606846975 rays a sweep can hold"),
         ("sensor", "beam_count", 2**63, "sensor.beam_count: must be at most 1152921504606846975"),
         ("sensor", "beam_count", 2**60, "sensor.beam_count: must be at most 1152921504606846975"),
         (None, "resolution", 1e-300, "extent: 4.8e+301x4.8e+301 cells of 1e-300 m exceed the "
@@ -170,10 +180,11 @@ class TestConfigValidation:
             "tick_overflow", "long_run", "partial_cell", "offline_tick_overflow",
             "knot_outside_extent", "no_beams", "negative_beams", "negative_offline_tick_rate",
             "negative_seed",
-            "huge_window", "window_overflow", "inverted_box", "short_duration",
+            "huge_window", "window_overflow", "one_cell_window", "inverted_box", "short_duration",
             "slow_tick_rate", "knot_outside_bounds", "negative_mount_height",
             "zero_mount_height", "negative_max_range", "max_range_beyond_int64",
-            "azimuth_2e60", "azimuth_1e30", "azimuth_2e63", "beams_2e63", "beams_2e60",
+            "azimuth_2e60", "azimuth_1e30", "azimuth_2e63", "beams_2e53", "beams_2e63",
+            "beams_2e60",
             "tiny_resolution", "huge_extent",
             "knot_beyond_int64", "object_knot_outside_bounds", "bounds_side_overflow",
             "extent_side_overflow", "extent_of_three", "inverted_extent", "no_knots",
@@ -251,6 +262,76 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
+
+    def test_parsing_builds_no_map(self):
+        # numpy's allocations are traced: a zeroed overtake map alone is 14.4 MB
+        tracemalloc.start()
+        try:
+            cfg = load_config(OVERTAKE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert cfg.lattice.shape == (800, 2000)
+        with pytest.raises(ValueError):
+            cfg.lattice.values[0, 0] = 1.0
+
+    def test_a_lattice_too_large_to_allocate_parses(self, mini_dict):
+        # 5e9 x 240 cells, 8.73 TiB as a map: the parser must not build one;
+        # never passed to build_offline_phase or the CLI
+        mini_dict["extent"] = [-24.0, -24.0, 24.0, 1e9]
+        assert config_from_dict(mini_dict).lattice.shape == (5_000_000_120, 240)
+
+
+def _leaves(node, path=()):
+    """Paths of the scalar leaves of a JSON tree."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, value in items for leaf in _leaves(value, path + (key,))]
+    return [path]
+
+
+# the mini config at 30 ticks, and values at the edges of what JSON and a float hold
+_SHORT_MINI = dict(conftest.MINI_CONFIG, duration=1.5)
+_EDGE_VALUES = [0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.7e308, -1.7e308, 2**53 + 1,
+                2**63, 10**400, True, False, None, "text", [1.0], {"key": 1.0}]
+_EDITS = st.lists(st.tuples(st.sampled_from(_leaves(_SHORT_MINI)), st.sampled_from(_EDGE_VALUES)),
+                  min_size=1, max_size=2, unique_by=lambda edit: edit[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EDITS)
+@example([(("window_size",), 0.2), (("ego_trajectory", 0, 1), 0.2)])  # a window missing the ego
+@example([(("sensor", "beam_count"), 2**53 + 1)])  # more beam angles than memory holds
+@example([(("extent", 3), 1e9)])  # a lattice too large to allocate
+def test_config_edits_are_rejected_at_the_boundary(edits):
+    # an edit gives a config or one ConfigError; a config of a small run then
+    # runs to the end, or stops in one error line that names a field
+    raw = copy.deepcopy(_SHORT_MINI)
+    for path, value in edits:
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = copy.deepcopy(value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cfg = config_from_dict(raw)
+        except ConfigError:
+            return
+        if (cfg.lattice.width * cfg.lattice.height > 2e6 or cfg.n_ticks > 40
+                or cfg.sensor.azimuth_steps * cfg.sensor.vertical_angles.size > 2e5
+                or cfg.n_offline_ticks > 60):
+            return
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(raw))
+            status = main(["run", str(path), "--output", str(Path(tmp) / "out")])
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert (status, errors) == (0, []) or (
+        status == 1 and len(errors) == 1
+        and re.match(r"error: (\w*)", errors[0])[1] in _SHORT_MINI), (status, errors)
 
 
 def dense_iou(a_values, b_values, mask):
@@ -537,7 +618,7 @@ def test_trace_region_matches_one_footprint_per_tick(name):
     raw = copy.deepcopy(conftest.MINI_CONFIG) if name == "mini" else workloads.make_config(name, 0)
     cfg = config_from_dict(raw)
     # a prior that is observed and free everywhere keeps every footprint cell
-    offline = cfg.offline_grid()
+    offline = cfg.lattice.copy()
     offline.values[:] = -1.0
     offline.observed[:] = True
     rows, cols = compute_trace_region(cfg, offline)
@@ -593,7 +674,7 @@ def test_trace_region_of_huge_or_distant_shapes(mini_dict, case):
         world["dynamic_objects"].append(dict(cart, name="far", trajectory=[
             [0.0, 1e300, 0.0, 0.0], [7.0, 1e300, 5.0, 0.5]]))
     cfg = config_from_dict(mini_dict)
-    offline = cfg.offline_grid()
+    offline = cfg.lattice.copy()
     offline.values[:] = -1.0
     offline.observed[:] = True
     with warnings.catch_warnings():
@@ -606,7 +687,7 @@ def test_trace_region_of_huge_or_distant_shapes(mini_dict, case):
 
 def test_static_box_beyond_the_extent_excludes_nothing(mini_dict):
     # the box lies in the world but west of the extent's low edge
-    offline = config_from_dict(mini_dict).offline_grid()
+    offline = config_from_dict(mini_dict).lattice.copy()
     offline.values[:] = -1.0
     offline.observed[:] = True
     before = compute_trace_region(config_from_dict(mini_dict), offline)
