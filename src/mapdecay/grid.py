@@ -158,9 +158,8 @@ class GridMap:
         between two lattices: an AlignmentError unless they are the same."""
         cells = ((self.origin_x - other.origin_x) / other.resolution,
                  (self.origin_y - other.origin_y) / other.resolution)
-        # negated, so that the NaN of an infinite offset fails it too
         if not (abs(self.resolution - other.resolution) <= 1e-9
-                and np.all(np.abs(np.subtract(cells, np.rint(cells))) <= 1e-6)):
+                and all(math.isfinite(c) and abs(c - round(c)) <= 1e-6 for c in cells)):
             raise AlignmentError(f"grids not on one lattice: {self.resolution!r} m vs "
                                  f"{other.resolution!r} m, offset {cells} cells")
         return round(cells[0]), round(cells[1])

@@ -65,14 +65,15 @@ def raycast_cells(starts: np.ndarray, ends: np.ndarray,
     """Grid-line traversal for a batch of rays in cell-index space.
 
     For each ray the line from start to end is stepped in max(|dx|, |dy|)
-    unit steps along the dominant axis, rounding the other coordinate, which
-    visits one cell per step, inclusive of start and exclusive of end.
+    unit steps, exactly in integers along the dominant axis; the other
+    coordinate is rounded half to even from start + step / count * delta.
+    That visits one cell per step, inclusive of start and exclusive of end.
     Returns (ray_index, cols, rows) flat arrays.
 
     The steps whose dominant coordinate, which moves one cell a step, lies more
     than one cell off a grid of ``shape`` (rows, cols) are not taken: a ray costs
     at most the grid's side plus two steps and visits the full traversal's cells
-    on the grid.  Beyond 2**52 cells a ray's float steps are degenerate.
+    on the grid.  Beyond 2**52 cells the rounded coordinate is degenerate.
     """
     starts = np.asarray(starts, dtype=np.int64).reshape(-1, 2)
     ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
@@ -84,10 +85,19 @@ def raycast_cells(starts: np.ndarray, ends: np.ndarray,
     n = np.clip(np.where(ahead, side + 1 - s, s + 2), first, counts) - first
     ray = np.repeat(at, n)
     step = np.arange(len(ray)) - np.repeat(np.cumsum(n) - n - first, n)
-    frac = step / counts[ray]
-    cols = np.rint(starts[ray, 0] + frac * delta[ray, 0]).astype(np.int64)
-    rows = np.rint(starts[ray, 1] + frac * delta[ray, 1]).astype(np.int64)
-    return ray, cols, rows
+    major = np.repeat(s, n) + np.where(np.repeat(ahead, n), step, -step)
+    other = at, 1 - axis
+    minor = np.rint(np.repeat(starts[other], n)
+                    + step / np.repeat(counts, n) * np.repeat(delta[other], n)).astype(np.int64)
+    by_col = np.repeat(axis == 0, n)
+    return ray, np.where(by_col, major, minor), np.where(by_col, minor, major)
+
+
+def _flat_cells(grid: GridMap, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row-major flat indices of the cells on ``grid``; the others are dropped
+    before any index is multiplied."""
+    on = np.flatnonzero(grid.contains_cell(cols, rows))
+    return rows[on] * grid.width + cols[on]
 
 
 @dataclass
@@ -147,19 +157,16 @@ def build_instant_map(sweep: Sweep, grid: GridMap,
     ends = np.stack(_nudged_cells(grid, *hit_xy((az[usable], end_beam[usable])), sx, sy,
                                   -1e-6), axis=1)
 
+    flat = kind.reshape(-1)
     _, f_cols, f_rows = raycast_cells(starts, ends, grid.shape)
+    flat[_flat_cells(grid, f_cols, f_rows)] = KIND_FREE_SET
     # with no obstacle in the scan, the last ground return itself is free
     inc_end = ~any_obs[usable]
-    f_cols = np.concatenate([f_cols, ends[inc_end, 0]])
-    f_rows = np.concatenate([f_rows, ends[inc_end, 1]])
-    in_grid = grid.contains_cell(f_cols, f_rows)
-    kind[f_rows[in_grid], f_cols[in_grid]] = KIND_FREE_SET
+    flat[_flat_cells(grid, *ends[inc_end].T)] = KIND_FREE_SET
 
     # occupied marking last: it takes precedence over free on conflicts;
     # each obstacle hit is looked up a hair further along its ray
-    o_cols, o_rows = _nudged_cells(grid, *hit_xy(obstacle), sx, sy, 1e-6)
-    in_grid = grid.contains_cell(o_cols, o_rows)
-    kind[o_rows[in_grid], o_cols[in_grid]] = KIND_OCCUPIED
+    flat[_flat_cells(grid, *_nudged_cells(grid, *hit_xy(obstacle), sx, sy, 1e-6))] = KIND_OCCUPIED
 
     return InstantMap(grid.resolution, grid.origin_x, grid.origin_y, kind)
 

@@ -244,7 +244,11 @@ def _sensor(beam_count, vertical_min_deg, vertical_max_deg, vertical_angles_deg,
         raise ConfigError(f"azimuth_steps: {azimuth_steps} steps x {beam_count} beams exceed "
                           f"the {_MAX_ELEMENTS} rays a sweep can hold")
     if vertical_angles_deg is None:
-        vertical_angles_deg = np.linspace(vertical_min_deg, vertical_max_deg, beam_count)
+        try:
+            vertical_angles_deg = np.linspace(vertical_min_deg, vertical_max_deg, beam_count)
+        except MemoryError as exc:
+            raise ConfigError(f"beam_count: {beam_count} beam angles do not fit in memory: "
+                              f"{exc}") from exc
     elif len(vertical_angles_deg) != beam_count:
         raise ConfigError(f"vertical_angles_deg: {len(vertical_angles_deg)} angles "
                           f"for beam_count {beam_count}")
@@ -466,7 +470,11 @@ def build_offline_phase(cfg: ScenarioConfig) -> GridMap:
     sweeps = (simulate_sweep(world, ego_pose_at(cfg.offline_trajectory, t), cfg.sensor, rng)
               for t in times)
     lat = cfg.lattice  # blank, not lat.copy(): np.zeros commits no page until it is written
-    grid = GridMap.blank(lat.resolution, lat.origin_x, lat.origin_y, lat.width, lat.height)
+    try:
+        grid = GridMap.blank(lat.resolution, lat.origin_x, lat.origin_y, lat.width, lat.height)
+    except MemoryError as exc:
+        raise ConfigError(f"extent: {lat.width}x{lat.height} cells of {lat.resolution!r} m "
+                          f"do not fit in memory: {exc}") from exc
     build_offline(sweeps, grid, cfg.thresholds)
     return clean_offline(grid, cfg.clean)
 

@@ -238,6 +238,24 @@ class TestGridMap:
         with pytest.raises(ParameterError):
             GridMap(*lattice, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("origin, other_x, want", [
+        ((0.6, -0.4), 0.0, (3, -2)),  # whole cells
+        ((1e-8, -1e-8), 0.0, (0, 0)),  # within 1e-6 cells of the lattice
+        ((2e-4, 0.0), 0.0, None),  # 1e-3 cells off it
+        ((2e299, -2e299), 0.0, (round(2e299 / 0.2), round(-2e299 / 0.2))),  # 1e300 cells
+        ((1.7e308, 0.0), -1.7e308, None),  # 3.4e308 m overflows to inf cells
+        ((math.nan, 0.0), 0.0, None),  # an origin set after construction
+    ], ids=["whole_cells", "1e-8_m", "1e-3_cells", "1e300_cells", "inf_cells", "nan_cells"])
+    def test_offset_in(self, origin, other_x, want):
+        # a whole-cell offset, or an AlignmentError and never a warning
+        grid, other = GridMap.blank(0.2, 0.0, 0.0, 2, 2), GridMap.blank(0.2, other_x, 0.0, 2, 2)
+        grid.origin_x, grid.origin_y = origin
+        if want is None:
+            with pytest.raises(AlignmentError, match="grids not on one lattice"):
+                grid.offset_in(other)
+        else:
+            assert grid.offset_in(other) == want
+
 
 class TestMapFormat:
     def _grid(self):

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import functools
+import json
 import math
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mapdecay import (
     AlignmentError,
@@ -13,6 +16,7 @@ from mapdecay import (
     SensorConfig,
     apply_instant,
     build_instant_map,
+    config_from_dict,
     simulate_sweep,
 )
 from mapdecay.grid import L_MAX, L_MIN, update_cell
@@ -24,10 +28,13 @@ from mapdecay.instant import (
     L_OCC,
     InstantMap,
     ObstacleThresholds,
+    _nudged_cells,
     obstacle_mask,
     raycast_cells,
 )
 from mapdecay.world import Box, Pose, Rect, World
+
+OVERTAKE = Path(__file__).resolve().parent.parent / "configs" / "overtake.json"
 
 
 def dense_line_cells(frm, to, step=0.01):
@@ -55,18 +62,24 @@ def line_cells(frm, to):
     return list(zip(cols.tolist(), rows.tolist()))
 
 
-def full_raycast(starts, ends):
-    """Reference raycast: every step of every ray, on the grid or off it."""
+def float_steps(starts, ends, ray, step):
+    """Reference cells of the given steps of the given rays: both coordinates
+    in floats, each rounded half to even from start + step / count * delta."""
     starts = np.asarray(starts, dtype=np.int64).reshape(-1, 2)
-    ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
-    delta = ends - starts
-    counts = np.abs(delta).max(axis=1)
-    ray = np.repeat(np.arange(len(counts)), counts)
-    step = np.arange(len(ray)) - np.repeat(np.cumsum(counts) - counts, counts)
-    frac = step / counts[ray]
+    delta = np.asarray(ends, dtype=np.int64).reshape(-1, 2) - starts
+    frac = step / np.abs(delta).max(axis=1)[ray]
     cols = np.rint(starts[ray, 0] + frac * delta[ray, 0]).astype(np.int64)
     rows = np.rint(starts[ray, 1] + frac * delta[ray, 1]).astype(np.int64)
     return ray, cols, rows
+
+
+def full_raycast(starts, ends):
+    """Reference raycast: every step of every ray, on the grid or off it."""
+    starts = np.asarray(starts, dtype=np.int64).reshape(-1, 2)
+    counts = np.abs(np.asarray(ends, dtype=np.int64).reshape(-1, 2) - starts).max(axis=1)
+    ray = np.repeat(np.arange(len(counts)), counts)
+    step = np.arange(len(ray)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return float_steps(starts, ends, ray, step)
 
 
 def on_grid(out, shape):
@@ -130,10 +143,38 @@ class TestRaycast:
     @given(_ray_batches())
     @example(((3, 5), np.array([[-300, 1], [2, 2], [12, -40], [4, 310]]),
               np.array([[312, 2], [2, 2], [-7, 200], [0, -300]])))
+    # short rays 2**40 cells off a 5x5 grid, beside it, beyond a corner and
+    # level with it, in every direction
+    @example(((5, 5), np.array([[2**40, 2], [-2**40, 3], [1, 2**40], [4, -2**40],
+                                [2**40, 2**40], [-2**40, 2**40 + 3]]),
+              np.array([[2**40 + 9, 4], [-2**40 - 7, 0], [4, 2**40 - 5], [-3, -2**40 + 6],
+                        [2**40 - 3, 2**40 - 8], [-2**40 + 4, 2**40 - 4]])))
     def test_cells_on_the_grid_match_the_full_traversal(self, case):
         shape, starts, ends = case
         got = on_grid(raycast_cells(starts, ends, shape), shape)
         for mine, theirs in zip(got, on_grid(full_raycast(starts, ends), shape)):
+            assert np.array_equal(mine, theirs)
+
+    def test_far_rays_across_the_grid_match_the_float_steps(self):
+        # rays from 2**40 cells off a 5x5 grid to 2**40 cells off its other
+        # side: the full traversal's 2**41 steps would not fit in memory, so
+        # the float rule is evaluated at the steps whose dominant coordinate
+        # lies on the grid, step k at coordinate start + k or start - k
+        far = 2**40
+        starts = np.array([[-far - 3, 1], [far + 5, 4], [2, -far - 7], [0, far + 1],
+                           [-far, -far + 3], [far + 4, -far]])
+        ends = np.array([[far + 11, 3], [-far - 2, 0], [3, far + 9], [4, -far - 5],
+                         [far, far + 1], [-far + 4, far + 3]])
+        delta = ends - starts
+        at, axis = np.arange(len(delta)), np.argmax(np.abs(delta), axis=1)
+        start, sign = starts[at, axis], np.sign(delta[at, axis])
+        ray, coord = np.repeat(at, 5), np.tile(np.arange(5), len(at))
+        step = (coord - start[ray]) * sign[ray]
+        order = np.lexsort((step, ray))
+        want = on_grid(float_steps(starts, ends, ray[order], step[order]), (5, 5))
+        got = on_grid(raycast_cells(starts, ends, (5, 5)), (5, 5))
+        assert set(want[0].tolist()) == set(at.tolist())  # every ray crosses the grid
+        for mine, theirs in zip(got, want):
             assert np.array_equal(mine, theirs)
 
     def test_far_ray_costs_at_most_the_grid_side(self):
@@ -164,6 +205,74 @@ class TestObstacleMask:
     def test_ground_offset(self):
         mask = self._mask([1.0, 1.4], 1.0, ObstacleThresholds(0.3, 4.0))
         assert mask.tolist() == [False, True]
+
+
+def dense_instant_kind(sweep, grid, thresholds):
+    """Reference build: every step of the free spans by :func:`full_raycast`,
+    each kind marked through a 2-D index of the in-grid cells."""
+    kind = np.zeros(grid.shape, dtype=np.uint8)
+    origin, dx, dy, dz = sweep.rays
+    sx, sy = sweep.ego_pose.x, sweep.ego_pose.y
+
+    def hit_xy(rays):
+        r = sweep.ranges[rays]
+        return origin[0] + r * dx[rays], origin[1] + r * dy[rays]
+
+    returned = np.isfinite(sweep.ranges)
+    safe = np.where(returned, sweep.ranges, 0.0)
+    obstacle = obstacle_mask(origin[2] + safe * dz, returned, sweep.ground_z, thresholds)
+    n_az, n_beams = sweep.ranges.shape
+    any_obs = obstacle.any(axis=1)
+    last_ret = n_beams - 1 - np.argmax(returned[:, ::-1], axis=1)
+    end_beam = np.where(any_obs, np.argmax(obstacle, axis=1), last_ret)
+    az = np.arange(n_az)
+    usable = returned[:, 0] & (sweep.ranges[az, end_beam] >= sweep.ranges[az, 0])
+    starts = np.stack(grid.cell_of(*hit_xy((az[usable], 0))), axis=1)
+    ends = np.stack(_nudged_cells(grid, *hit_xy((az[usable], end_beam[usable])), sx, sy,
+                                  -1e-6), axis=1)
+    _, f_cols, f_rows = full_raycast(starts, ends)
+    inc_end = ~any_obs[usable]
+    f_cols = np.concatenate([f_cols, ends[inc_end, 0]])
+    f_rows = np.concatenate([f_rows, ends[inc_end, 1]])
+    in_grid = grid.contains_cell(f_cols, f_rows)
+    kind[f_rows[in_grid], f_cols[in_grid]] = KIND_FREE_SET
+    o_cols, o_rows = _nudged_cells(grid, *hit_xy(obstacle), sx, sy, 1e-6)
+    in_grid = grid.contains_cell(o_cols, o_rows)
+    kind[o_rows[in_grid], o_cols[in_grid]] = KIND_OCCUPIED
+    return kind
+
+
+@functools.lru_cache(maxsize=None)
+def _overtake_sweep(x: float, y: float, yaw: float, t: float, noise_sigma: float,
+                    lowest_beam_deg: float):
+    """A sweep of the shipped overtake world, at a quarter of its azimuth
+    steps, with its config's obstacle thresholds and offline lattice."""
+    raw = json.loads(OVERTAKE.read_text())
+    raw["sensor"].update(azimuth_steps=360, noise_sigma=noise_sigma,
+                         vertical_min_deg=lowest_beam_deg)
+    cfg = config_from_dict(raw)
+    sweep = simulate_sweep(cfg.world, Pose(x, y, yaw, t), cfg.sensor, np.random.default_rng(7))
+    return sweep, cfg.thresholds, cfg.lattice
+
+
+@st.composite
+def _windows(draw):
+    """An overtake-like sweep and a window on the offline lattice that holds
+    the sensor: from 2x2 cells to wider than the sensor's reach.  The shipped
+    lowest beam grounds 44 m out; one at -20 degrees grounds 5.5 m out, so
+    that the free spans leave small windows on every side."""
+    pose = draw(st.sampled_from([(0.0, 0.0, 0.0, 10.0), (-37.3, 2.1, 0.4, 5.0),
+                                 (61.9, -6.7, -2.9, 21.5)]))
+    sweep, thresholds, lat = _overtake_sweep(*pose, draw(st.sampled_from([0.0, 0.05])),
+                                             draw(st.sampled_from([-2.6, -20.0])))
+    side = st.just(2) | st.integers(2, 40) | st.integers(2, 800)
+    width, height = draw(side), draw(side)
+    col, row = lat.cell_of(sweep.ego_pose.x, sweep.ego_pose.y)
+    col -= draw(st.integers(0, width - 1))
+    row -= draw(st.integers(0, height - 1))
+    grid = GridMap.blank(lat.resolution, lat.origin_x + col * lat.resolution,
+                         lat.origin_y + row * lat.resolution, width, height)
+    return sweep, grid, thresholds
 
 
 class _Scene:
@@ -216,6 +325,14 @@ class TestBuildInstantMap:
         raised = _Scene(ground_z)
         assert raised.sweep.ground_z == ground_z
         assert np.array_equal(raised.instant().kind, _Scene().instant().kind)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_windows())
+    def test_kinds_match_the_dense_build(self, case):
+        sweep, grid, thresholds = case
+        kind = build_instant_map(sweep, grid, thresholds).kind
+        want = dense_instant_kind(sweep, grid, thresholds)
+        assert kind.dtype == want.dtype and kind.tobytes() == want.tobytes()
 
     def test_sensor_outside_extent_rejected(self):
         scene = _Scene()

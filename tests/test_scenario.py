@@ -920,13 +920,24 @@ class TestCli:
         assert main(["run", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_extent_too_large_to_allocate_exits_one(self, mini_dict, tmp_path, capsys):
-        # 10^7 x 10^7 cells: the request exceeds the address space and fails
-        # at once, without touching memory
-        mini_dict["extent"] = [-1e6, -1e6, 1e6, 1e6]
+    def _fails_naming(self, mini_dict, tmp_path, capsys, message):
         cfg = self._write_cfg(mini_dict, tmp_path)
         assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
-        assert "error: Unable to allocate" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}Unable to allocate") and err.count("error:") == 1
+
+    def test_extent_too_large_to_allocate_exits_one(self, mini_dict, tmp_path, capsys):
+        # 10^7 x 10^7 cells: the request exceeds the address space and fails
+        # at once, without touching memory; the error names the field
+        mini_dict["extent"] = [-1e6, -1e6, 1e6, 1e6]
+        self._fails_naming(mini_dict, tmp_path, capsys,
+                           "extent: 10000000x10000000 cells of 0.2 m do not fit in memory: ")
+
+    def test_beam_angles_too_many_to_allocate_exit_one(self, mini_dict, tmp_path, capsys):
+        # 2**53 + 1 rays pass the ray bound, but not their 64 PiB of beam angles
+        mini_dict["sensor"].update(azimuth_steps=1, beam_count=2**53 + 1)
+        self._fails_naming(mini_dict, tmp_path, capsys, "sensor: beam_count: 9007199254740993 "
+                           "beam angles do not fit in memory: ")
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
