@@ -201,12 +201,10 @@ def write_map(grid: GridMap, path) -> None:
     """
     header = _HEADER.pack(MAP_MAGIC, MAP_VERSION, grid.resolution,
                           grid.origin_x, grid.origin_y, grid.width, grid.height)
-    payload = grid.values.astype("<f8", copy=False).tobytes()
-    bitmap = np.packbits(grid.observed.reshape(-1), bitorder="little").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
-        fh.write(bitmap)
+        fh.write(np.ascontiguousarray(grid.values, dtype="<f8"))
+        fh.write(np.packbits(grid.observed, bitorder="little"))
 
 
 def read_map(path) -> GridMap:

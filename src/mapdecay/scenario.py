@@ -43,8 +43,6 @@ from .world import (
 )
 
 _MAX_ELEMENTS = np.iinfo(np.intp).max // 8  # elements of the largest float64 numpy array
-UNOBSERVED_RGB = (0, 0, 255)
-_PALETTE = np.array([(g, g, g) for g in range(256)] + [UNOBSERVED_RGB], dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +447,22 @@ def render_frame(grid: GridMap, path) -> None:
     (free) to black (occupied), evaluated on observed cells only: their values
     must be finite and in [L_MIN, L_MAX] (``mapdecay render`` runs ``check_values``).
     """
-    gray = np.rint(255.0 * (1.0 - 1.0 / (1.0 + np.exp(-grid.values[grid.observed]))))
-    code = np.full(grid.values.shape, 256, dtype=np.uint16)  # _PALETTE[256] is blue
-    code[grid.observed] = gray
-    rgb = np.take(_PALETTE, code[::-1], axis=0)  # row 0 at the max-y edge
+    ramp = grid.values[grid.observed]  # a copy: the ramp runs on it in place
+    np.negative(ramp, out=ramp)
+    np.exp(ramp, out=ramp)
+    ramp += 1.0
+    np.divide(1.0, ramp, out=ramp)
+    np.subtract(1.0, ramp, out=ramp)
+    ramp *= 255.0
+    gray = np.zeros(grid.values.shape, dtype=np.uint8)
+    gray[grid.observed] = np.rint(ramp, out=ramp)
+    gray, observed = gray[::-1], grid.observed[::-1]  # row 0 at the max-y edge
+    rgb = np.empty((grid.height, grid.width, 3), dtype=np.uint8)
+    rgb[..., 0] = rgb[..., 1] = gray
+    np.bitwise_or(gray, ~observed * np.uint8(255), out=rgb[..., 2])  # unobserved: blue
     with open(path, "wb") as fh:
         fh.write(f"P6\n{grid.width} {grid.height}\n255\n".encode("ascii"))
-        fh.write(rgb.tobytes())
+        fh.write(rgb)
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,17 @@ class TestMapFormat:
         expect += bytes([0b01])
         assert path.read_bytes() == expect
 
+    @pytest.mark.parametrize("view", [lambda a: a[::-1, ::3], lambda a: a.T],
+                             ids=["strided", "transposed"])
+    def test_views_write_the_bytes_of_their_copy(self, tmp_path, view):
+        # the arrays reach the file as buffers, which must be C-contiguous
+        g = self._grid()
+        g = GridMap(0.25, -2.0, 3.5, view(g.values), view(g.observed))
+        write_map(g, tmp_path / "view.ogm")
+        write_map(GridMap(0.25, -2.0, 3.5, g.values.copy(), g.observed.copy()),
+                  tmp_path / "copy.ogm")
+        assert (tmp_path / "view.ogm").read_bytes() == (tmp_path / "copy.ogm").read_bytes()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ogm"
         g = self._grid()

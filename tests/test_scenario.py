@@ -418,6 +418,10 @@ def dense_render(grid, path):
 _RAMP_EDGES = [L_FREE_SET, 0.0, L_MIN, L_MAX, L_OCC]
 
 
+# contiguous, row-reversed, column-strided and transposed grids
+_VIEWS = [lambda a: a, lambda a: a[::-1], lambda a: a[:, ::2], lambda a: a.T]
+
+
 @st.composite
 def _frames(draw):
     shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=9))
@@ -425,7 +429,8 @@ def _frames(draw):
                              | st.sampled_from(_RAMP_EDGES)))
     observed = draw(st.sampled_from([np.zeros(shape, bool), np.ones(shape, bool)])
                     | hnp.arrays(np.bool_, shape))
-    return values, observed
+    view = draw(st.sampled_from(_VIEWS))
+    return view(values), view(observed)
 
 
 class TestRender:
@@ -441,9 +446,17 @@ class TestRender:
             dense_render(g, Path(d) / "b.ppm")
             assert (Path(d) / "a.ppm").read_bytes() == (Path(d) / "b.ppm").read_bytes()
 
+    @given(_frames())
+    def test_leaves_its_grid_untouched(self, frame):
+        g = GridMap(0.5, 0.0, 0.0, *frame)
+        before = g.values.tobytes(), g.observed.tobytes()
+        with tempfile.TemporaryDirectory() as d:
+            render_frame(g, Path(d) / "a.ppm")
+        assert (g.values.tobytes(), g.observed.tobytes()) == before
+
     def test_unobserved_values_are_never_evaluated(self, tmp_path):
         # the ramp would overflow exp on -1e6 and cast NaN; unobserved cells
-        # only take the blue palette entry, so neither reaches it
+        # take their blue from the observed mask, so neither reaches it
         g = GridMap.blank(0.5, 0.0, 0.0, 2, 2)
         g.values[:] = [[-1e6, np.nan], [L_MIN, L_MAX]]
         g.observed[1, :] = True
@@ -895,7 +908,8 @@ class TestCli:
         main(["build-offline", str(cfg), str(off)])
         img = tmp_path / "off.ppm"
         assert main(["render", str(off), str(img)]) == 0
-        assert img.read_bytes().startswith(b"P6\n240 240\n255\n")
+        dense_render(read_map(off), tmp_path / "dense.ppm")
+        assert img.read_bytes() == (tmp_path / "dense.ppm").read_bytes()
 
     def test_render_rejects_bad_values(self, tmp_path, capsys):
         # values render_frame must not be given: NaN and +-1e6 lie outside
