@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import LogError, ParameterError, ScenarioError
 from .grid import DecayParams, GridMap, apply_decay, deviates, logodds_from_prob
@@ -51,13 +50,24 @@ def build_offline(sweeps: Iterable[Sweep], grid: GridMap,
 
 
 def clean_offline(grid: GridMap, params: CleanParams) -> GridMap:
-    """Remove small occupied components (idempotent, returns a new map)."""
+    """Remove small 8-connected occupied components (idempotent, returns a new map).
+    Union-find: hook each touching pair's larger root to its smaller, jump pointers, repeat."""
     out = grid.copy()
     occ = out.values > logodds_from_prob(params.occ_threshold)
-    labels, _ = ndimage.label(occ, structure=np.ones((3, 3), dtype=int))
-    small = np.bincount(labels.reshape(-1), minlength=1) < params.min_component_cells
-    small[0] = False  # the unoccupied cells
-    out.values[small[labels]] = L_FREE_SET
+    cells = np.flatnonzero(occ)
+    at = np.full(occ.shape, -1)  # each occupied cell's index in cells
+    at[occ] = np.arange(cells.size)
+    ends = [(at[:, :-1], at[:, 1:]), (at[:-1], at[1:]),             # E, N
+            (at[:-1, :-1], at[1:, 1:]), (at[:-1, 1:], at[1:, :-1])]  # NE, NW
+    both = [(u >= 0) & (v >= 0) for u, v in ends]
+    a = np.concatenate([u[k] for (u, _), k in zip(ends, both)])
+    b = np.concatenate([v[k] for (_, v), k in zip(ends, both)])
+    root = np.arange(cells.size)
+    while (root[a] != root[b]).any():
+        np.minimum.at(root, np.maximum(root[a], root[b]), np.minimum(root[a], root[b]))
+        while (root[root] != root).any():
+            root = root[root]
+    out.values.flat[cells[np.bincount(root)[root] < params.min_component_cells]] = L_FREE_SET
     return out
 
 

@@ -15,6 +15,7 @@ the second, deviation form: a cell at its offline value stays exactly there.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -210,20 +211,19 @@ def write_map(grid: GridMap, path) -> None:
 def read_map(path) -> GridMap:
     """Parse an OGM1 file written by :func:`write_map`."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise MapFormatError("file shorter than the OGM1 header")
-    magic, version, resolution, ox, oy, width, height = _HEADER.unpack_from(blob)
-    if magic != MAP_MAGIC:
-        raise MapFormatError(f"bad magic {magic!r}, expected {MAP_MAGIC!r}")
-    if version != MAP_VERSION:
-        raise MapFormatError(f"unsupported map version {version}")
-    n = width * height
-    expected = _HEADER.size + 8 * n + (n + 7) // 8
-    if len(blob) != expected:
-        raise MapFormatError(f"payload size mismatch: expected {expected} bytes, got {len(blob)}")
-    values = np.frombuffer(blob, dtype="<f8", count=n, offset=_HEADER.size)
-    values = values.reshape(height, width).astype(np.float64)
-    bits = np.frombuffer(blob, dtype=np.uint8, offset=_HEADER.size + 8 * n)
-    observed = np.unpackbits(bits, count=n, bitorder="little").astype(bool)
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise MapFormatError("file shorter than the OGM1 header")
+        magic, version, resolution, ox, oy, width, height = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != MAP_MAGIC:
+            raise MapFormatError(f"bad magic {magic!r}, expected {MAP_MAGIC!r}")
+        if version != MAP_VERSION:
+            raise MapFormatError(f"unsupported map version {version}")
+        n = width * height
+        expected = _HEADER.size + 8 * n + (n + 7) // 8
+        if size != expected:
+            raise MapFormatError(f"payload size mismatch: expected {expected} bytes, got {size}")
+        values = np.fromfile(fh, "<f8", n).reshape(height, width)
+        bits = np.fromfile(fh, np.uint8, (n + 7) // 8)
+    observed = np.unpackbits(bits, count=n, bitorder="little").view(bool)
     return GridMap(resolution, ox, oy, values, observed.reshape(height, width))

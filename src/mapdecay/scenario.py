@@ -541,9 +541,8 @@ def _run_scenario(cfg: ScenarioConfig, offline: GridMap, out: Path,
         wc = cols - dc
         wr = rows - dr
         inside = grid.contains_cell(wc, wr)
-        vals = trace_off.copy()  # out-of-window cells sit at their offline value
-        vals[inside] = grid.values[wr[inside], wc[inside]]
-        trace_values[k] = vals
+        trace_values[k] = trace_off  # out-of-window cells sit at their offline value
+        trace_values[k, inside] = grid.values[wr[inside], wc[inside]]
         touched = np.zeros(m, dtype=bool)
         touched[inside] = inst.kind[wr[inside], wc[inside]] != 0
         last_observed[touched] = k

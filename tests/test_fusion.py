@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 from conftest import decay_cell_pow
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy import ndimage
 
 from mapdecay import (
     AlignmentError,
@@ -24,7 +25,7 @@ from mapdecay import (
     simulate_sweep,
 )
 from mapdecay.fusion import CleanParams, offline_window
-from mapdecay.grid import L_MAX, L_MIN
+from mapdecay.grid import L_MAX, L_MIN, logodds_from_prob
 from mapdecay.instant import KIND_OCCUPIED, L_FREE_SET, L_OCC
 from mapdecay.scenario import build_offline_phase
 from mapdecay.world import Pose
@@ -49,7 +50,54 @@ class TestBuildOffline:
         assert grid.observed.sum() > 10000
 
 
+def ndimage_clean(grid, params):
+    """Reference cleaner: the 8-connected components of ``scipy.ndimage.label``."""
+    out = grid.copy()
+    occ = out.values > logodds_from_prob(params.occ_threshold)
+    labels, _ = ndimage.label(occ, structure=np.ones((3, 3), dtype=int))
+    small = np.bincount(labels.reshape(-1), minlength=1) < params.min_component_cells
+    small[0] = False  # the unoccupied cells
+    out.values[small[labels]] = L_FREE_SET
+    return out
+
+
+def _occupied(shape, cells):
+    """An observed free map holding 3.0 at each (row, col) of ``cells``."""
+    values = np.full(shape, L_FREE_SET)
+    values[tuple(np.transpose(cells))] = 3.0
+    return GridMap(0.2, 0.0, 0.0, values, np.ones(shape, dtype=bool))
+
+
+@st.composite
+def _clean_cases(draw):
+    h, w = draw(st.sampled_from([(0, None), (1, None), (None, 1), (None, None)]))
+    h = draw(st.integers(0, 40)) if h is None else h
+    w = draw(st.integers(0, 40)) if w is None else w
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    threshold = draw(st.floats(0.01, 0.99))
+    occ = rng.random((h, w)) < draw(st.floats(0.0, 0.8))
+    values = logodds_from_prob(threshold) + np.where(occ, 1.0, -1.0) * rng.uniform(0, 5, (h, w))
+    params = CleanParams(threshold, draw(st.integers(1, 30)))
+    return GridMap(0.2, 0.0, 0.0, values, rng.random((h, w)) < 0.5), params
+
+
 class TestCleanOffline:
+    @settings(max_examples=200, deadline=None)
+    @given(_clean_cases())
+    # an anti-diagonal chain of 6, joined by NW neighbours alone
+    @example((_occupied((8, 8), [(1 + i, 6 - i) for i in range(6)]), CleanParams(0.5, 6)))
+    # two 3-cell runs, apart on the map, at adjacent flat indices across a row end
+    @example((_occupied((6, 8), [(2, 5), (2, 6), (2, 7), (3, 0), (3, 1), (3, 2)]),
+              CleanParams(0.5, 4)))
+    # a serpentine of 49 cells, which no single hooking round joins
+    @example((_occupied((9, 9), [(r, c) for r in range(0, 9, 2) for c in range(9)]
+                        + [(1, 8), (3, 0), (5, 8), (7, 0)]), CleanParams(0.5, 30)))
+    def test_matches_ndimage_labelling(self, case):
+        grid, params = case
+        got, want = clean_offline(grid, params), ndimage_clean(grid, params)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.observed.tobytes() == want.observed.tobytes()
+
     def _grid(self):
         g = GridMap.blank(0.2, 0.0, 0.0, 20, 20)
         g.values[:] = L_FREE_SET

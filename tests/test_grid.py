@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -320,12 +321,28 @@ class TestMapFormat:
         path = tmp_path / "bad.ogm"
         write_map(self._grid(), path)
         blob = path.read_bytes()
-        for cut, message in ((3, "^file shorter than the OGM1 header$"),
-                             (len(blob) - 1, rf"^payload size mismatch: expected {len(blob)} "
-                                             rf"bytes, got {len(blob) - 1}$")):
-            path.write_bytes(blob[:cut])
+        for data, message in ((blob[:3], "^file shorter than the OGM1 header$"),
+                              (blob[:-1], rf"^payload size mismatch: expected {len(blob)} "
+                                          rf"bytes, got {len(blob) - 1}$"),
+                              (blob + b"\0", rf"^payload size mismatch: expected {len(blob)} "
+                                              rf"bytes, got {len(blob) + 1}$")):
+            path.write_bytes(data)
             with pytest.raises(MapFormatError, match=message):
                 read_map(path)
+
+    def test_read_holds_little_beyond_the_map(self, tmp_path):
+        # the file streams into the arrays the map keeps: no copy of the whole
+        # file, and no second copy of the values or of the observed mask
+        g = GridMap(0.2, 0.0, 0.0, np.full((300, 300), 1.5), np.ones((300, 300), dtype=bool))
+        write_map(g, tmp_path / "m.ogm")
+        tracemalloc.start()
+        try:
+            back = read_map(tmp_path / "m.ogm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = back.values.nbytes + back.observed.nbytes
+        assert peak < 1.25 * kept, (peak, kept)
 
     def test_magic_constant(self):
         assert MAP_MAGIC == b"OGM1"

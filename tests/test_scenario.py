@@ -7,8 +7,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import struct
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mapdecay
 from mapdecay import (
     AlignmentError,
     ConfigError,
@@ -760,6 +763,24 @@ class TestCli:
         assert main(["build-offline", str(cfg), str(out)]) == 0
         assert main(["diff", str(out), str(out)]) == 0
         assert "max_abs_diff=0" in capsys.readouterr().out
+
+    def test_runs_on_numpy_alone(self, mini_dict, tmp_path):
+        # fresh interpreters, so that no test has imported scipy before them: with
+        # scipy unimportable every subcommand exits 0, and the CLI imports none
+        self._write_cfg(mini_dict, tmp_path)
+        env = {**os.environ, "PYTHONPATH": str(Path(mapdecay.__file__).parents[1])}
+        blocked = (
+            'import sys\nsys.modules["scipy"] = None\nfrom mapdecay.cli import main\n'
+            'for args in (["build-offline", "cfg.json", "off.ogm"],\n'
+            '             ["run", "cfg.json", "--offline", "off.ogm", "--output", "out"],\n'
+            '             ["render", "out/online_final.ogm", "final.ppm"],\n'
+            '             ["diff", "off.ogm", "out/offline.ogm"]):\n'
+            '    assert main(args) == 0, args\n')
+        plain = 'import sys, mapdecay.cli\nassert "scipy" not in sys.modules, "scipy imported"\n'
+        for code in (blocked, plain):
+            done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
 
     def test_diff_reports_changes(self, mini_dict, tmp_path, capsys):
         cfg = self._write_cfg(mini_dict, tmp_path)
