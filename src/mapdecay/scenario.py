@@ -339,15 +339,15 @@ class RunMetrics:
     static_ok: np.ndarray            # (T,) of those, online prob > 0.9
     epsilon_trace: float
 
-    @property
-    def trace_dev(self) -> np.ndarray:
-        return np.abs(self.trace_values - self.trace_offline[None, :])
+    @cached_property
+    def trace_dev(self) -> np.ndarray:  # one (T, M) array per run, its readers make none
+        return np.abs(dev := self.trace_values - self.trace_offline[None, :], out=dev)
 
     @cached_property
     def trace_max_dev(self) -> np.ndarray:
         return self.trace_dev.max(axis=1, initial=0.0)
 
-    @property
+    @cached_property
     def peak_dev(self) -> np.ndarray:
         return self.trace_dev.max(axis=0)
 
