@@ -86,7 +86,8 @@ def _cmd_diff(args) -> int:
               f"{b.resolution} m at ({b.origin_x}, {b.origin_y})")
         return 1
     flags = a.observed != b.observed
-    differ = a.values != b.values  # equal cells, infinite ones too, add nothing
+    # equal cells add nothing, infinite ones and a NaN in both maps too
+    differ = ~((a.values == b.values) | np.isnan(a.values) & np.isnan(b.values))
     n_diff = int((differ | flags).sum())
     print(f"max_abs_diff={np.abs(a.values[differ] - b.values[differ]).max(initial=0.0):.12g} "
           f"differing_cells={n_diff} flag_mismatches={int(flags.sum())}")

@@ -8,7 +8,6 @@ step per tick, recording trace-region metrics and rendering PPM frames.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
@@ -330,7 +329,7 @@ def load_config(path) -> ScenarioConfig:
 class RunMetrics:
     """What ``run_scenario`` measured: M trace cells over T ticks."""
     trace_offline: np.ndarray        # (M,) offline value per trace cell
-    trace_values: np.ndarray         # (T, M) online value per tick
+    trace_dev: np.ndarray            # (T, M) |online - offline| per tick, 0.0 outside the window
     last_observed: np.ndarray        # (M,) last tick each cell got evidence, -1 never
     observed_cells: np.ndarray       # (T,)
     iou: np.ndarray                  # (T,)
@@ -338,10 +337,6 @@ class RunMetrics:
     static_total: np.ndarray         # (T,) observed cells occupied offline
     static_ok: np.ndarray            # (T,) of those, online prob > 0.9
     epsilon_trace: float
-
-    @cached_property
-    def trace_dev(self) -> np.ndarray:  # one (T, M) array per run, its readers make none
-        return np.abs(dev := self.trace_values - self.trace_offline[None, :], out=dev)
 
     @cached_property
     def trace_max_dev(self) -> np.ndarray:
@@ -510,14 +505,14 @@ def _run_scenario(cfg: ScenarioConfig, offline: GridMap, out: Path,
     frames_dir.mkdir(exist_ok=True)
 
     rows, cols = compute_trace_region(cfg, offline)
-    trace_off = offline.values[rows, cols].copy()
+    trace_off = offline.values[rows, cols]
 
     ego0 = ego_pose_at(cfg.ego_trajectory, 0.0)
     online = online_init(offline, ego0, cfg.window_size)
     rng = np.random.default_rng(cfg.seed + 1)
 
     m = len(rows)
-    trace_values = np.empty((cfg.n_ticks, m), dtype=np.float64)
+    trace_dev = np.zeros((cfg.n_ticks, m), dtype=np.float64)
     last_observed = np.full(m, -1, dtype=np.int64)
     observed_cells = np.zeros(cfg.n_ticks, dtype=np.int64)
     iou = np.zeros(cfg.n_ticks, dtype=np.float64)
@@ -541,8 +536,7 @@ def _run_scenario(cfg: ScenarioConfig, offline: GridMap, out: Path,
         wc = cols - dc
         wr = rows - dr
         inside = grid.contains_cell(wc, wr)
-        trace_values[k] = trace_off  # out-of-window cells sit at their offline value
-        trace_values[k, inside] = grid.values[wr[inside], wc[inside]]
+        trace_dev[k, inside] = np.abs(grid.values[wr[inside], wc[inside]] - trace_off[inside])
         touched = np.zeros(m, dtype=bool)
         touched[inside] = inst.kind[wr[inside], wc[inside]] != 0
         last_observed[touched] = k
@@ -576,16 +570,14 @@ def _run_scenario(cfg: ScenarioConfig, offline: GridMap, out: Path,
         created.append(path)
 
     csv_path = out / "metrics.csv"
-    metrics = RunMetrics(trace_off, trace_values, last_observed, observed_cells,
+    metrics = RunMetrics(trace_off, trace_dev, last_observed, observed_cells,
                          iou, wall, static_total, static_ok, cfg.epsilon_trace)
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tick", "t_sec", "trace_max_dev", "observed_cells", "iou"])
-        max_dev = metrics.trace_max_dev
-        for k in range(cfg.n_ticks):
-            writer.writerow([k, f"{k / cfg.tick_rate:.6f}",
-                             f"{max_dev[k]:.12g}",
-                             int(observed_cells[k]), f"{iou[k]:.12g}"])
+    ticks = np.arange(cfg.n_ticks)
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:  # "\r\n" on every OS
+        np.savetxt(fh, np.column_stack((ticks, ticks / cfg.tick_rate, metrics.trace_max_dev,
+                                        observed_cells, iou)),
+                   fmt=["%d", "%.6f", "%.12g", "%d", "%.12g"], delimiter=",", newline="\r\n",
+                   header="tick,t_sec,trace_max_dev,observed_cells,iou", comments="")
     created.append(csv_path)
 
     return metrics

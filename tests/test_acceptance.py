@@ -50,7 +50,7 @@ from mapdecay import (
 )
 from mapdecay.grid import L_MAX, L_MIN, decay_cell, logodds_from_prob, update_cell
 from mapdecay.instant import InstantMap, raycast_cells
-from mapdecay.scenario import build_offline_phase, render_frame
+from mapdecay.scenario import build_offline_phase, compute_trace_region, render_frame
 from mapdecay.world import Pose
 
 OVERTAKE = Path(__file__).resolve().parent.parent / "configs" / "overtake.json"
@@ -76,13 +76,6 @@ def decay_on_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def run_decay_on(overtake_cfg, offline_map, decay_on_dir):
     return run_scenario(overtake_cfg, offline=offline_map, output_dir=str(decay_on_dir))
-
-
-@pytest.fixture(scope="module")
-def run_decay_off(overtake_cfg, offline_map, tmp_path_factory):
-    out = tmp_path_factory.mktemp("decay_off")
-    cfg = dataclasses.replace(overtake_cfg, decay=DecayParams(10.0, 1.0, enabled=False))
-    return run_scenario(cfg, offline=offline_map, output_dir=str(out))
 
 
 def test_1_decay_contraction():
@@ -221,14 +214,21 @@ def test_4_raycast_oracle():
           f"in {elapsed:.1f}s)")
 
 
-def test_5_traces_persist_without_decay(run_decay_off):
-    m = run_decay_off
+def test_5_traces_persist_without_decay(overtake_cfg, offline_map, tmp_path):
+    cfg = dataclasses.replace(overtake_cfg, decay=DecayParams(10.0, 1.0, enabled=False))
+    m = run_scenario(cfg, offline=offline_map, output_dir=str(tmp_path))
     cut = logodds_from_prob(0.6)
     seen = m.last_observed >= 0
     assert seen.any()
-    # measure from the last tick the object imprinted any trace cell
+    # from the last tick the object imprinted any trace cell, no trace cell changes
     start = int(m.last_observed[seen].max())
-    held = (m.trace_values[start:] > cut).all(axis=0)
+    assert (m.trace_dev[start:] == m.trace_dev[start]).all()
+    # so each holds to the end the value it has in the final map
+    final = read_map(tmp_path / "online_final.ogm")
+    rows, cols = compute_trace_region(cfg, offline_map)
+    dc, dr = final.offset_in(offline_map)
+    assert final.contains_cell(cols - dc, rows - dr).all()
+    held = final.values[rows - dr, cols - dc] > cut
     frac = held.mean()
     assert frac >= 0.90
     print(f"\nACCEPTANCE 5: PASS (decay off: {frac:.1%} of "

@@ -102,6 +102,16 @@ class DenseOnline:
                 int(np.count_nonzero(static)),
                 int(np.count_nonzero(static & (g.values > OCC_CUT))))
 
+    def trace(self, offline: GridMap, inst: InstantMap, rows, cols) -> tuple:
+        """|value - prior| over the window, 0.0 off it, and the cells the
+        sweep touched, read on the offline map at the trace cells."""
+        g = self.grid
+        full = GridMap.blank(offline.resolution, offline.origin_x, offline.origin_y,
+                             offline.width, offline.height)
+        _paste(full, GridMap(g.resolution, g.origin_x, g.origin_y,
+                             np.abs(g.values - self.prior(offline).values), inst.kind != 0))
+        return full.values[rows, cols], full.observed[rows, cols]
+
 
 def check_against(dense: DenseOnline, online, decay: DecayParams) -> None:
     """The window matches the dense map bit for bit, ``deviating`` marks
@@ -122,8 +132,9 @@ def check_against(dense: DenseOnline, online, decay: DecayParams) -> None:
 def run_beside_oracle(cfg, offline: GridMap, out: Path) -> tuple:
     """``run_scenario`` with the dense oracle stepped and checked after every
     library step; returns the run's metrics and the oracle's per-tick
-    (iou, static_total, static_ok)."""
+    (iou, static_total, static_ok, trace deviation, touched trace cells)."""
     dense = DenseOnline(offline, ego_pose_at(cfg.ego_trajectory, 0.0), cfg.window_size)
+    rows, cols = scenario.compute_trace_region(cfg, offline)
     expected = []
     library_step = scenario.online_step
 
@@ -131,7 +142,7 @@ def run_beside_oracle(cfg, offline: GridMap, out: Path) -> tuple:
         inst = library_step(online, sweep, decay, thresholds)
         dense.step(online.prior, sweep.ego_pose, inst, decay)
         check_against(dense, online, decay)
-        expected.append(dense.metrics(online.prior))
+        expected.append(dense.metrics(online.prior) + dense.trace(online.prior, inst, rows, cols))
         return inst
 
     with mock.patch.object(scenario, "online_step", step), \
@@ -183,10 +194,13 @@ MINI_CASES = {
 
 
 def _assert_metrics_match(metrics, expected) -> None:
-    iou, static_total, static_ok = (np.array(v) for v in zip(*expected))
+    iou, static_total, static_ok, trace_dev, touched = (np.array(v) for v in zip(*expected))
     assert metrics.iou.tolist() == iou.tolist()
     assert metrics.static_total.tolist() == static_total.tolist()
     assert metrics.static_ok.tolist() == static_ok.tolist()
+    assert np.array_equal(_bits(metrics.trace_dev), _bits(trace_dev))
+    last = np.where(touched, np.arange(len(touched))[:, None], -1).max(axis=0)
+    assert metrics.last_observed.tolist() == last.tolist()
 
 
 @pytest.mark.parametrize("case", sorted(MINI_CASES))

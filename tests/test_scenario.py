@@ -360,8 +360,8 @@ def _iou_cases(draw):
 
 
 def persistence(max_dev, eps_trace: float):
-    """``trace_persistence`` of one never-observed trace cell at offline 0.0
-    whose value at each tick is the ``max_dev`` stream."""
+    """``trace_persistence`` of one never-observed trace cell whose deviation
+    from its offline value at each tick is the ``max_dev`` stream."""
     ticks = np.zeros(len(max_dev))
     return RunMetrics(np.zeros(1), np.asarray(max_dev, dtype=float)[:, None], np.array([-1]),
                       ticks, ticks, ticks, ticks, ticks, eps_trace).trace_persistence
@@ -497,6 +497,17 @@ class TestRender:
         assert path.read_bytes().endswith(bytes([128, 128, 128]))
 
 
+def csv_oracle(metrics, cfg) -> bytes:
+    """metrics.csv as a ``csv.writer`` writes it, one row per tick."""
+    fh = io.StringIO()
+    writer = csv.writer(fh)
+    writer.writerow(["tick", "t_sec", "trace_max_dev", "observed_cells", "iou"])
+    for k in range(cfg.n_ticks):
+        writer.writerow([k, f"{k / cfg.tick_rate:.6f}", f"{metrics.trace_max_dev[k]:.12g}",
+                         int(metrics.observed_cells[k]), f"{metrics.iou[k]:.12g}"])
+    return fh.getvalue().encode("utf-8")
+
+
 @pytest.fixture(scope="module")
 def run(tmp_path_factory):
     cfg = config_from_dict(copy.deepcopy(conftest.MINI_CONFIG))
@@ -532,12 +543,28 @@ class TestRunScenario:
         assert [p for p in out.rglob("*") if not p.is_dir()] == []
 
     def test_metrics_csv_layout(self, run):
-        cfg, out, _ = run
+        cfg, out, metrics = run
         with open(out / "metrics.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["tick", "t_sec", "trace_max_dev", "observed_cells", "iou"]
         assert len(rows) - 1 == int(cfg.duration * cfg.tick_rate)
         assert rows[1][0] == "0" and float(rows[1][1]) == 0.0
+        assert (out / "metrics.csv").read_bytes() == csv_oracle(metrics, cfg)
+
+    def test_metrics_csv_of_a_moving_window(self, mini_dict, tmp_path):
+        mini_dict["ego_trajectory"] = [[0.0, -12.0, -1.0, 0.0], [7.0, 12.0, 1.0, 0.0]]
+        mini_dict["sensor"]["max_range"] = 8.0
+        cfg = config_from_dict(mini_dict)
+        metrics = run_scenario(cfg, offline=build_offline_phase(cfg), output_dir=str(tmp_path))
+        assert metrics.trace_max_dev.max() > 1.0 and len(set(metrics.observed_cells)) > 10
+        assert (tmp_path / "metrics.csv").read_bytes() == csv_oracle(metrics, cfg)
+
+    def test_the_record_holds_one_trace_array(self, run):
+        # read after the CSV has taken trace_max_dev from it
+        cfg, _, metrics = run
+        shape = (cfg.n_ticks, metrics.trace_offline.size)
+        assert [name for name, v in vars(metrics).items()
+                if isinstance(v, np.ndarray) and v.shape == shape] == ["trace_dev"]
 
     def test_trace_decays_within_run(self, run):
         _, _, metrics = run
@@ -807,7 +834,11 @@ class TestCli:
         (GridMap(0.2, 0.0, 0.0, np.diag([np.inf, -np.inf, 0.0])),  # equal cells add nothing
          GridMap(0.2, 0.0, 0.0, np.diag([np.inf, -np.inf, 0.0])),
          "max_abs_diff=0 differing_cells=0 flag_mismatches=0\n", 0),
-    ], ids=["other_lattice", "other_shape", "nan_cell", "empty", "equal_infinite_cells"])
+        (GridMap(0.2, 0.0, 0.0, np.diag([0.0, np.nan, 0.0])),  # a file against itself
+         GridMap(0.2, 0.0, 0.0, np.diag([0.0, np.nan, 0.0])),
+         "max_abs_diff=0 differing_cells=0 flag_mismatches=0\n", 0),
+    ], ids=["other_lattice", "other_shape", "nan_cell", "empty", "equal_infinite_cells",
+            "nan_in_both"])
     def test_diff_checks_lattice_nan_and_empty(self, tmp_path, capsys, a, b, expect, status):
         write_map(a, tmp_path / "a.ogm")
         write_map(b, tmp_path / "b.ogm")
