@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import LogError, ParameterError, ScenarioError
-from .grid import DecayParams, GridMap, apply_decay, deviates, logodds_from_prob
+from .grid import DecayParams, GridMap, apply_decay, logodds_from_prob
 from .instant import (
     L_FREE_SET,
     ObstacleThresholds,
@@ -52,21 +52,22 @@ def build_offline(sweeps: Iterable[Sweep], grid: GridMap,
 def clean_offline(grid: GridMap, params: CleanParams) -> GridMap:
     """Remove small 8-connected occupied components (idempotent, returns a new map).
     Union-find: hook each touching pair's larger root to its smaller, jump pointers, repeat."""
-    out = grid.copy()
-    occ = out.values > logodds_from_prob(params.occ_threshold)
-    cells = np.flatnonzero(occ)
-    at = np.full(occ.shape, -1)  # each occupied cell's index in cells
-    at[occ] = np.arange(cells.size)
-    ends = [(at[:, :-1], at[:, 1:]), (at[:-1], at[1:]),             # E, N
-            (at[:-1, :-1], at[1:, 1:]), (at[:-1, 1:], at[1:, :-1])]  # NE, NW
-    both = [(u >= 0) & (v >= 0) for u, v in ends]
-    a = np.concatenate([u[k] for (u, _), k in zip(ends, both)])
-    b = np.concatenate([v[k] for (_, v), k in zip(ends, both)])
+    cells = np.flatnonzero(grid.values > logodds_from_prob(params.occ_threshold))
+    w = grid.width
+    col = cells % w
+    a, b = [], []  # touching pairs as indices into cells: E, N, NE, NW neighbours
+    for step, ok in ((1, col < w - 1), (w, True), (w + 1, col < w - 1), (w - 1, col > 0)):
+        j = np.searchsorted(cells, cells + step)
+        hit = (np.take(cells, j, mode="clip") == cells + step) & ok
+        a.append(np.flatnonzero(hit))
+        b.append(j[hit])
+    a, b = np.concatenate(a), np.concatenate(b)
     root = np.arange(cells.size)
     while (root[a] != root[b]).any():
         np.minimum.at(root, np.maximum(root[a], root[b]), np.minimum(root[a], root[b]))
         while (root[root] != root).any():
             root = root[root]
+    out = grid.copy()
     out.values.flat[cells[np.bincount(root)[root] < params.min_component_cells]] = L_FREE_SET
     return out
 
@@ -77,9 +78,9 @@ class OnlineMap:
     ``prior``, the offline map it was cut from.
 
     Every cell outside ``deviating`` equals its prior value and is left bit
-    for bit by a decay step (see :func:`deviates`), so code that writes
-    ``grid.values`` must mark what it writes.  ``unlike_free`` marks the
-    prior's cells that are not exactly ``L_FREE_SET``."""
+    for bit by a decay step, so code that writes ``grid.values`` must mark
+    what it writes.  ``unlike_free`` marks the prior's cells that are not
+    exactly ``L_FREE_SET``."""
     grid: GridMap
     prior: GridMap
     deviating: np.ndarray
@@ -127,7 +128,7 @@ def offline_window(offline: GridMap, grid: GridMap) -> GridMap:
 def _move(online: OnlineMap, cell: tuple[int, int], cells: int) -> None:
     """Make the window ``cells`` square from the prior's (col, row) ``cell``.
     Staying cells keep their values, flags and marks; entering cells load the
-    prior, unobserved, and are marked where a prior -0.0 deviates."""
+    prior, unobserved and unmarked."""
     old, offline, res = online.grid, online.prior, online.prior.resolution
     new = GridMap(res, offline.origin_x + cell[0] * res, offline.origin_y + cell[1] * res,
                   np.empty((cells, cells)), np.zeros((cells, cells), dtype=bool))
@@ -141,7 +142,7 @@ def _move(online: OnlineMap, cell: tuple[int, int], cells: int) -> None:
     for entering in (np.s_[:rows.start], np.s_[rows.stop:],
                      np.s_[rows, :cols.start], np.s_[rows, cols.stop:]):
         new.values[entering] = prior[entering]
-        deviating[entering] = deviates(prior[entering], prior[entering])
+        deviating[entering] = False
     online.grid, online.deviating = new, deviating
 
 
@@ -180,10 +181,10 @@ def online_step(online: OnlineMap, sweep: Sweep, decay: DecayParams,
         np.put(deviating, cells, apply_decay(grid, offline_window(offline, grid), decay, cells))
     inst = build_instant_map(sweep, grid, thresholds)
     free, occ = apply_instant(grid, inst)
-    # a written cell deviates afresh: a free one where the prior is not
+    # a written cell is marked afresh: a free one where the prior is not
     # L_FREE_SET, an occupied one where its new value differs from the prior
     deviating &= ~free
     deviating |= free & prior_cells(online.unlike_free, offline, grid, True)
     at = np.divmod(occ, grid.width)
-    deviating[at] = deviates(grid.values[at], prior_cells(offline.values, offline, grid, 0.0)[at])
+    deviating[at] = grid.values[at] != prior_cells(offline.values, offline, grid, 0.0)[at]
     return inst

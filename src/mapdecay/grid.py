@@ -6,10 +6,11 @@ by addition (Bayes filter in log space), values are clamped to
 average, which pulls an online cell toward its offline counterpart:
 
     decayed = (on * w_on + off * w_off) / (w_on + w_off)
-            = off + (on - off) * a,   a = w_on / (w_on + w_off)
+            = off - (off - on) * a,   a = w_on / (w_on + w_off)
 
 The average operates on the stored log-odds values, not on probabilities, in
-the second, deviation form: a cell at its offline value stays exactly there.
+the second, deviation form: a cell at its offline value stays exactly there,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -69,17 +70,11 @@ class DecayParams:
 
 
 def decay_cell(on, off, params: DecayParams):
-    """One decay step, ``off + (on - off) * retention``: the weighted average of
+    """One decay step, ``off - (off - on) * retention``: the weighted average of
     the online and offline values, elementwise on arrays.  ``decay_cell(v, v, p)``
-    is exactly ``v`` up to the sign of a zero; for values in ``[L_MIN, L_MAX]``
-    and ``retention < 1`` the result lies between ``on`` and ``off``."""
-    return off + (on - off) * params.retention
-
-
-def deviates(on, off):
-    """Where ``on`` differs from ``off`` or is a -0.0 (a decay step toward an
-    equal ``off`` makes it +0.0); elsewhere decay leaves ``on`` bit for bit."""
-    return (on != off) | (on == 0.0) & np.signbit(on)
+    is exactly ``v``, a -0.0 included; for values in ``[L_MIN, L_MAX]`` and
+    ``retention < 1`` the result lies between ``on`` and ``off``."""
+    return off - (off - on) * params.retention
 
 
 @dataclass
@@ -170,7 +165,7 @@ def apply_decay(grid: GridMap, offline: GridMap, params: DecayParams,
                 cells: np.ndarray) -> np.ndarray:
     """Decay the ``cells`` (flat indices) of ``grid`` toward the same cells of
     ``offline`` through :func:`decay_cell`, in place, and return whether each
-    still :func:`deviates`.  Results are independent of traversal order.
+    still differs from it.  Results are independent of traversal order.
     Observed flags are left untouched, and ``params.enabled`` is not read.
     """
     if not (grid.shape == offline.shape and grid.offset_in(offline) == (0, 0)):
@@ -179,7 +174,7 @@ def apply_decay(grid: GridMap, offline: GridMap, params: DecayParams,
     off = offline.values[at]
     on = decay_cell(grid.values[at], off, params)
     grid.values[at] = on
-    return deviates(on, off)
+    return on != off
 
 
 def check_values(grid: GridMap, name: str) -> GridMap:

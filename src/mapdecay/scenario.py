@@ -560,16 +560,17 @@ def _run_scenario(cfg: ScenarioConfig, offline: GridMap, out: Path,
 
         if k % cfg.render_stride == 0:
             frame = frames_dir / f"frame_{k:06d}.ppm"
-            render_frame(grid, frame)
             created.append(frame)
+            render_frame(grid, frame)
         wall[k] = time.perf_counter() - t_start
 
     for name, grid_out in (("offline.ogm", offline), ("online_final.ogm", online.grid)):
         path = out / name
-        write_map(grid_out, path)
         created.append(path)
+        write_map(grid_out, path)
 
     csv_path = out / "metrics.csv"
+    created.append(csv_path)
     metrics = RunMetrics(trace_off, trace_dev, last_observed, observed_cells,
                          iou, wall, static_total, static_ok, cfg.epsilon_trace)
     ticks = np.arange(cfg.n_ticks)
@@ -578,6 +579,5 @@ def _run_scenario(cfg: ScenarioConfig, offline: GridMap, out: Path,
                                         observed_cells, iou)),
                    fmt=["%d", "%.6f", "%.12g", "%d", "%.12g"], delimiter=",", newline="\r\n",
                    header="tick,t_sec,trace_max_dev,observed_cells,iou", comments="")
-    created.append(csv_path)
 
     return metrics

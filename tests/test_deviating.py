@@ -36,7 +36,7 @@ from mapdecay import (
     run_scenario,
 )
 from mapdecay import fusion, scenario
-from mapdecay.grid import L_MAX, L_MIN, decay_cell, deviates, logodds_from_prob
+from mapdecay.grid import L_MAX, L_MIN, decay_cell, logodds_from_prob
 from mapdecay.instant import L_FREE_SET, InstantMap
 from mapdecay.scenario import build_offline_phase, occupancy_iou
 from mapdecay.world import Pose
@@ -115,15 +115,15 @@ class DenseOnline:
 
 def check_against(dense: DenseOnline, online, decay: DecayParams) -> None:
     """The window matches the dense map bit for bit, ``deviating`` marks
-    exactly the cells that :func:`deviates` from their prior, and every cell
-    outside it equals its prior value and is a fixed point of decay."""
+    exactly the cells that differ from their prior, and every cell outside
+    it equals its prior value and is a fixed point of decay."""
     g = online.grid
     assert (g.origin_x, g.origin_y) == (dense.grid.origin_x, dense.grid.origin_y)
     assert np.array_equal(_bits(g.values), _bits(dense.grid.values))
     assert np.array_equal(g.observed, dense.grid.observed)
     settled = ~online.deviating
     prior = dense.prior(online.prior).values
-    assert np.array_equal(online.deviating, deviates(g.values, prior))
+    assert np.array_equal(online.deviating, g.values != prior)
     assert np.array_equal(g.values[settled], prior[settled])
     step = decay_cell(g.values, prior, decay)
     assert np.array_equal(_bits(step)[settled], _bits(g.values)[settled])
@@ -226,8 +226,8 @@ def test_overtake_matches_the_dense_oracle(tmp_path):
 
 
 def test_prior_holding_negative_zeros(tmp_path):
-    # a prebuilt prior may hold -0.0; whole-window decay turns an online
-    # -0.0 into +0.0 on its first step, and the settled window must too
+    # a prebuilt prior may hold -0.0; decay toward it keeps its bits, so a
+    # window cell that reads 0.0 at a prior -0.0 is a -0.0 as well
     cfg = config_from_dict(_moving(copy.deepcopy(conftest.MINI_CONFIG)))
     offline = build_offline_phase(cfg)
     zeros = offline.values == 0.0
@@ -235,9 +235,23 @@ def test_prior_holding_negative_zeros(tmp_path):
     metrics, expected = run_beside_oracle(cfg, offline, tmp_path)
     _assert_metrics_match(metrics, expected)
     final = read_map(tmp_path / "online_final.ogm")
-    was_negative = fusion.prior_cells(zeros, offline, final, False)
-    assert was_negative.sum() > 1000
-    assert not np.signbit(final.values[was_negative & (final.values == 0.0)]).any()
+    held = fusion.prior_cells(zeros, offline, final, False) & (final.values == 0.0)
+    assert held.sum() > 1000
+    assert np.signbit(final.values[held]).all()
+
+
+def test_trace_deviation_is_an_absolute_value(tmp_path):
+    # trace cells held at -0.5, above L_FREE_SET and still in the region:
+    # a free hit drives the online value below the prior there
+    cfg = config_from_dict(copy.deepcopy(conftest.MINI_CONFIG))
+    offline = build_offline_phase(cfg)
+    rows, cols = scenario.compute_trace_region(cfg, offline)
+    offline.values[rows, cols] = -0.5
+    region = scenario.compute_trace_region(cfg, offline)
+    assert np.array_equal(region[0], rows) and np.array_equal(region[1], cols)
+    metrics, expected = run_beside_oracle(cfg, offline, tmp_path)
+    _assert_metrics_match(metrics, expected)
+    assert (metrics.trace_dev == -0.5 - L_FREE_SET).any()
 
 
 # a 30x20-cell prior at 0.5 m holding the values the mask has to tell

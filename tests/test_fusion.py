@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,24 @@ class TestCleanOffline:
         np.testing.assert_array_equal(out.observed, g.observed)
         empty = GridMap.blank(0.2, 0.0, 0.0, 0, 0)
         assert clean_offline(empty, CleanParams(0.5, 6)).shape == (0, 0)
+
+    def test_holds_little_beyond_the_new_map(self):
+        # a sparse prior of the workload extent, 800 x 2000 cells with about
+        # 1 600 occupied: the cleaner indexes the occupied cells, not the extent
+        rng = np.random.default_rng(7)
+        g = GridMap(0.2, 0.0, 0.0, np.where(rng.random((800, 2000)) < 1e-3, 3.0, L_FREE_SET),
+                    np.ones((800, 2000), dtype=bool))
+        g.values[400:403, 1000:1003] = 3.0  # one component that stays
+        tracemalloc.start()
+        try:
+            out = clean_offline(g, CleanParams(0.5, 6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = out.values.nbytes + out.observed.nbytes
+        assert peak < 1.25 * kept, (peak, kept)
+        assert out.values.tobytes() == ndimage_clean(g, CleanParams(0.5, 6)).values.tobytes()
+        assert (out.values > 0.0).sum() >= 9
 
     def test_param_validation(self):
         with pytest.raises(ParameterError):

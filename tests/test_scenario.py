@@ -542,6 +542,45 @@ class TestRunScenario:
         # the frames directory may stay behind, empty
         assert [p for p in out.rglob("*") if not p.is_dir()] == []
 
+    @pytest.mark.parametrize("name", ["frame", "offline.ogm", "online_final.ogm", "metrics.csv"])
+    def test_a_torn_write_leaves_no_partial_output(self, run, monkeypatch, tmp_path, name):
+        # the file's own first write lands a few bytes and then fails
+        cfg, mini_out, _ = run
+        if name == "frame":
+            name = f"frame_{cfg.render_stride:06d}.ppm"
+        torn = []
+
+        class Torn:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __getattr__(self, attr):
+                return getattr(self.fh, attr)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:4])
+                self.fh.flush()
+                torn.append(self.fh.name)
+                raise OSError(28, "No space left on device")
+
+        def torn_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            return Torn(fh) if Path(path).name == name else fh
+
+        monkeypatch.setattr("mapdecay.scenario.open", torn_open, raising=False)
+        monkeypatch.setattr("mapdecay.grid.open", torn_open, raising=False)
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match="No space left"):
+            run_scenario(cfg, read_map(mini_out / "offline.ogm"), out)
+        assert [Path(p).name for p in torn] == [name]
+        assert [p for p in out.rglob("*") if not p.is_dir()] == []
+
     def test_metrics_csv_layout(self, run):
         cfg, out, metrics = run
         with open(out / "metrics.csv") as fh:
