@@ -15,14 +15,9 @@ from typing import Iterable
 import numpy as np
 
 from .errors import LogError, ParameterError, ScenarioError
-from .grid import DecayParams, GridMap, apply_decay, logodds_from_prob
-from .instant import (
-    L_FREE_SET,
-    ObstacleThresholds,
-    InstantMap,
-    apply_instant,
-    build_instant_map,
-)
+from .grid import DecayParams, GridMap, apply_decay, logodds_from_prob, update_cell
+from .instant import (L_FREE_SET, L_OCC, ObstacleThresholds, InstantMap, apply_instant,
+                      build_instant_map, sweep_cells)
 from .world import Pose, Sweep
 
 
@@ -40,13 +35,23 @@ class CleanParams:
 
 def build_offline(sweeps: Iterable[Sweep], grid: GridMap,
                   thresholds: ObstacleThresholds) -> None:
-    """Integrate a logged pass, in time order, into ``grid`` in place."""
+    """Integrate a logged pass, in time order, into ``grid`` in place, through
+    flat views of its C-contiguous arrays.  Each sweep folds its cell lists as
+    :func:`apply_instant` folds their map: occupied cells update from their
+    pre-sweep values and are written last, so they win over free ones."""
+    if not (grid.values.flags.c_contiguous and grid.observed.flags.c_contiguous):
+        raise ParameterError("build_offline needs a grid of C-contiguous arrays")
+    values, observed = grid.values.reshape(-1), grid.observed.reshape(-1)
     last_t = None
     for sweep in sweeps:
         if last_t is not None and sweep.ego_pose.t <= last_t:
             raise LogError("log sweep timestamps must be strictly increasing")
         last_t = sweep.ego_pose.t
-        apply_instant(grid, build_instant_map(sweep, grid, thresholds))
+        free, occupied = sweep_cells(sweep, grid, thresholds)
+        occ = update_cell(values[occupied], L_OCC)
+        values[free] = L_FREE_SET
+        values[occupied] = occ
+        observed[free] = observed[occupied] = True
 
 
 def clean_offline(grid: GridMap, params: CleanParams) -> GridMap:

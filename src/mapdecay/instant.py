@@ -60,37 +60,47 @@ def _nudged_cells(grid: GridMap, px: np.ndarray, py: np.ndarray, sx: float, sy: 
     return grid.cell_of(px + step * dx / norm, py + step * dy / norm)
 
 
-def raycast_cells(starts: np.ndarray, ends: np.ndarray,
-                  shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def raycast_cells(starts: np.ndarray, ends: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Grid-line traversal for a batch of rays in cell-index space.
 
     For each ray the line from start to end is stepped in max(|dx|, |dy|)
     unit steps, exactly in integers along the dominant axis; the other
     coordinate is rounded half to even from start + step / count * delta.
     That visits one cell per step, inclusive of start and exclusive of end.
-    Returns (ray_index, cols, rows) flat arrays.
+    Returns the row-major flat indices of the visited cells that lie on a grid
+    of ``shape`` (rows, cols), ray by ray in visiting order.
 
-    The steps whose dominant coordinate, which moves one cell a step, lies more
-    than one cell off a grid of ``shape`` (rows, cols) are not taken: a ray costs
-    at most the grid's side plus two steps and visits the full traversal's cells
-    on the grid.  Beyond 2**52 cells the rounded coordinate is degenerate.
+    Only the steps whose dominant coordinate lies on the grid are taken, so a
+    ray costs at most the grid's side.  Beyond 2**52 cells the rounded
+    coordinate is degenerate.
     """
     starts = np.asarray(starts, dtype=np.int64).reshape(-1, 2)
-    ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
-    delta = ends - starts
+    delta = np.asarray(ends, dtype=np.int64).reshape(-1, 2) - starts
     counts = np.abs(delta).max(axis=1)
     at, axis = np.arange(len(counts)), np.argmax(np.abs(delta), axis=1)
-    s, side, ahead = starts[at, axis], np.array(shape[::-1])[axis], delta[at, axis] > 0
-    first = np.clip(np.where(ahead, -1 - s, s - side), 0, counts)
-    n = np.clip(np.where(ahead, side + 1 - s, s + 2), first, counts) - first
-    ray = np.repeat(at, n)
-    step = np.arange(len(ray)) - np.repeat(np.cumsum(n) - n - first, n)
-    major = np.repeat(s, n) + np.where(np.repeat(ahead, n), step, -step)
+    s, ahead, by_col = starts[at, axis], delta[at, axis] > 0, axis == 0
+    rows, cols = shape
+    side = np.where(by_col, cols, rows)
+    first = np.clip(np.where(ahead, -s, s - side + 1), 0, counts)
+    n = np.clip(np.where(ahead, side - s, s + 1), first, counts) - first
+    step = np.arange(n.sum(), dtype=np.int64)
+    step -= np.repeat(np.cumsum(n) - n - first, n)
+    # the minor coordinate, start + step / count * delta in that order of
+    # operations, from float64 copies made once a ray
     other = at, 1 - axis
-    minor = np.rint(np.repeat(starts[other], n)
-                    + step / np.repeat(counts, n) * np.repeat(delta[other], n)).astype(np.int64)
-    by_col = np.repeat(axis == 0, n)
-    return ray, np.where(by_col, major, minor), np.where(by_col, minor, major)
+    minor = step / np.repeat(counts.astype(np.float64), n)
+    minor *= np.repeat(delta[other].astype(np.float64), n)
+    minor += np.repeat(starts[other].astype(np.float64), n)
+    cell = np.rint(minor, out=minor).astype(np.int64)
+    on = cell.view(np.uint64) < np.repeat(np.where(by_col, rows, cols).astype(np.uint64), n)
+    # cell = minor * its stride + (s +- step) * the major stride; int64 products
+    # wrap, which leaves the sums exact on the grid
+    stride = np.where(by_col, 1, cols)
+    cell *= np.repeat(np.where(by_col, cols, 1), n)
+    step *= np.repeat(np.where(ahead, stride, -stride), n)
+    cell += step
+    cell += np.repeat(s * stride, n)
+    return cell[on]
 
 
 def _flat_cells(grid: GridMap, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -113,19 +123,14 @@ class InstantMap:
     kind: np.ndarray  # uint8 (height, width)
 
 
-def build_instant_map(sweep: Sweep, grid: GridMap,
-                      thresholds: ObstacleThresholds) -> InstantMap:
-    """Project one sweep into an instantaneous occupancy map on ``grid``'s
-    lattice.
-
-    Cells outside the grid are silently dropped; the grid must contain the
-    sensor position itself.
-    """
+def sweep_cells(sweep: Sweep, grid: GridMap,
+                thresholds: ObstacleThresholds) -> tuple[np.ndarray, np.ndarray]:
+    """One sweep's evidence on ``grid``'s lattice: the row-major flat indices of
+    its free and of its occupied cells, duplicates kept; a cell in both is
+    occupied.  Off-grid cells are dropped; the grid must contain the sensor."""
     sx, sy = sweep.ego_pose.x, sweep.ego_pose.y
     if not grid.contains_point(sx, sy):
         raise AlignmentError("instant map extent does not contain the sensor position")
-
-    kind = np.zeros(grid.shape, dtype=np.uint8)
     origin, dx, dy, dz = sweep.rays
 
     def hit_xy(rays):  # world xy of the returns of the rays that ``rays`` indexes
@@ -143,13 +148,10 @@ def build_instant_map(sweep: Sweep, grid: GridMap,
     last_ret = n_beams - 1 - np.argmax(returned[:, ::-1], axis=1)
     end_beam = np.where(any_obs, first_obs, last_ret)
 
-    usable = returned[:, 0]
     az = np.arange(n_az)
-    start_d = sweep.ranges[az, 0]
-    end_d = sweep.ranges[az, end_beam]
     # the end beam has a return when the first does; ranges along unit rays
     # order hits horizontally, so a nearer obstacle yields an empty interval
-    usable &= end_d >= start_d
+    usable = returned[:, 0] & (sweep.ranges[az, end_beam] >= sweep.ranges[az, 0])
 
     starts = np.stack(grid.cell_of(*hit_xy((az[usable], 0))), axis=1)
     # the span ends a hair short of its end hit, so grid-line rounding never
@@ -157,17 +159,21 @@ def build_instant_map(sweep: Sweep, grid: GridMap,
     ends = np.stack(_nudged_cells(grid, *hit_xy((az[usable], end_beam[usable])), sx, sy,
                                   -1e-6), axis=1)
 
-    flat = kind.reshape(-1)
-    _, f_cols, f_rows = raycast_cells(starts, ends, grid.shape)
-    flat[_flat_cells(grid, f_cols, f_rows)] = KIND_FREE_SET
     # with no obstacle in the scan, the last ground return itself is free
-    inc_end = ~any_obs[usable]
-    flat[_flat_cells(grid, *ends[inc_end].T)] = KIND_FREE_SET
-
-    # occupied marking last: it takes precedence over free on conflicts;
+    free = np.concatenate([raycast_cells(starts, ends, grid.shape),
+                           _flat_cells(grid, *ends[~any_obs[usable]].T)])
     # each obstacle hit is looked up a hair further along its ray
-    flat[_flat_cells(grid, *_nudged_cells(grid, *hit_xy(obstacle), sx, sy, 1e-6))] = KIND_OCCUPIED
+    return free, _flat_cells(grid, *_nudged_cells(grid, *hit_xy(obstacle), sx, sy, 1e-6))
 
+
+def build_instant_map(sweep: Sweep, grid: GridMap,
+                      thresholds: ObstacleThresholds) -> InstantMap:
+    """Project one sweep into an instantaneous occupancy map on ``grid``'s
+    lattice, by :func:`sweep_cells`."""
+    free, occupied = sweep_cells(sweep, grid, thresholds)
+    kind = np.zeros(grid.shape, dtype=np.uint8)
+    kind.reshape(-1)[free] = KIND_FREE_SET
+    kind.reshape(-1)[occupied] = KIND_OCCUPIED  # last: occupied wins over free
     return InstantMap(grid.resolution, grid.origin_x, grid.origin_y, kind)
 
 

@@ -159,9 +159,12 @@ def test_4_raycast_oracle():
     fx, fy, tx, ty = pairs.T
     major = np.maximum(np.abs(tx - fx), np.abs(ty - fy))
 
-    ray_idx, cols, rows = raycast_cells(pairs[:, :2], pairs[:, 2:], (n, n))
-    counts = np.bincount(ray_idx, minlength=len(pairs))
-    assert np.array_equal(counts, major)  # one cell per major-axis step
+    # every pair lies on the grid, so every step is kept: the flat indices
+    # split into consecutive runs of ``major`` cells, one run per pair
+    flat = raycast_cells(pairs[:, :2], pairs[:, 2:], (n, n))
+    assert len(flat) == major.sum()  # one cell per major-axis step
+    rows, cols = np.divmod(flat, n)
+    counts = major
     offsets = np.concatenate([[0], np.cumsum(counts)])
 
     live = major > 0

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from conftest import decay_cell_pow
@@ -17,6 +20,8 @@ from mapdecay import (
     ParameterError,
     ScenarioError,
     apply_decay,
+    apply_instant,
+    build_instant_map,
     build_offline,
     clean_offline,
     ego_pose_at,
@@ -25,11 +30,27 @@ from mapdecay import (
     recenter,
     simulate_sweep,
 )
+from mapdecay import fusion
 from mapdecay.fusion import CleanParams, offline_window
 from mapdecay.grid import L_MAX, L_MIN, logodds_from_prob
-from mapdecay.instant import KIND_OCCUPIED, L_FREE_SET, L_OCC
+from mapdecay.instant import KIND_FREE_SET, KIND_OCCUPIED, L_FREE_SET, L_OCC, InstantMap
 from mapdecay.scenario import build_offline_phase
 from mapdecay.world import Pose
+
+
+@st.composite
+def _fold_cases(draw):
+    """Pre-sweep values and flags of a small grid, and per sweep a free and an
+    occupied list of its flat cell indices: duplicates, cells in both lists and
+    empty lists included."""
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    value = st.one_of(st.sampled_from([L_MIN, L_MAX, L_FREE_SET, -0.0, 0.0]),
+                      st.floats(L_MIN, L_MAX))
+    values = draw(hnp.arrays(np.float64, (h, w), elements=value))
+    observed = draw(hnp.arrays(np.bool_, (h, w)))
+    cells = st.lists(st.integers(0, h * w - 1), max_size=3 * h * w).map(
+        lambda c: np.array(c, dtype=np.int64))
+    return values, observed, draw(st.lists(st.tuples(cells, cells), max_size=4))
 
 
 class TestBuildOffline:
@@ -41,6 +62,47 @@ class TestBuildOffline:
         sweeps = [self._sweep(mini_cfg, pose), self._sweep(mini_cfg, pose)]
         with pytest.raises(LogError):
             build_offline(sweeps, GridMap.blank(0.2, -24, -24, 240, 240), mini_cfg.thresholds)
+
+    @given(_fold_cases())
+    @example((np.array([[L_MAX, -0.0, L_MIN]]), np.array([[False, True, False]]),
+              [(np.array([0, 1, 1, 2]), np.array([2, 0, 0])), (np.array([], dtype=np.int64),
+                                                                np.array([1]))]))
+    def test_list_fold_matches_the_dense_fold(self, case):
+        # the dense fold marks a kind map, occupied last, and applies it
+        values, observed, lists = case
+        want = GridMap(0.2, 0.0, 0.0, values.copy(), observed.copy())
+        for free, occupied in lists:
+            kind = np.zeros(values.shape, dtype=np.uint8)
+            kind.reshape(-1)[free] = KIND_FREE_SET
+            kind.reshape(-1)[occupied] = KIND_OCCUPIED
+            apply_instant(want, InstantMap(0.2, 0.0, 0.0, kind))
+        got = GridMap(0.2, 0.0, 0.0, values.copy(), observed.copy())
+        sweeps = [SimpleNamespace(ego_pose=Pose(0.0, 0.0, 0.0, t)) for t in range(len(lists))]
+        drawn = iter(lists)
+        with mock.patch.object(fusion, "sweep_cells", lambda sweep, grid, th: next(drawn)):
+            build_offline(sweeps, got, None)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert np.array_equal(got.observed, want.observed)
+
+    def test_offline_phase_matches_a_loop_of_the_dense_fold(self, mini_cfg):
+        cfg, lat = mini_cfg, mini_cfg.lattice
+        world, rng = cfg.world.without_dynamic(), np.random.default_rng(cfg.seed)
+        want = GridMap.blank(lat.resolution, lat.origin_x, lat.origin_y, lat.width, lat.height)
+        for k in range(cfg.n_offline_ticks):
+            pose = ego_pose_at(cfg.offline_trajectory,
+                               cfg.offline_trajectory[0].t + k / cfg.offline_tick_rate)
+            sweep = simulate_sweep(world, pose, cfg.sensor, rng)
+            apply_instant(want, build_instant_map(sweep, want, cfg.thresholds))
+        want = clean_offline(want, cfg.clean)
+        got = build_offline_phase(cfg)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert np.array_equal(got.observed, want.observed)
+
+    def test_grid_of_strided_arrays_rejected(self, mini_cfg):
+        # the fold writes through flat views, which a strided array has not
+        strided = GridMap(0.2, -24, -24, np.zeros((240, 480))[:, ::2])
+        with pytest.raises(ParameterError, match="C-contiguous"):
+            build_offline([], strided, mini_cfg.thresholds)
 
     def test_wall_registered_occupied(self, mini_cfg):
         grid = build_offline_phase(mini_cfg)

@@ -58,7 +58,7 @@ def dense_line_cells(frm, to, step=0.01):
 def line_cells(frm, to):
     """The batch raycast of one ray on a grid that holds it, as a list of
     (col, row) cells."""
-    _, cols, rows = raycast_cells(np.array([frm]), np.array([to]), (16, 16))
+    rows, cols = np.divmod(raycast_cells(np.array([frm]), np.array([to]), (16, 16)), 16)
     return list(zip(cols.tolist(), rows.tolist()))
 
 
@@ -83,10 +83,11 @@ def full_raycast(starts, ends):
 
 
 def on_grid(out, shape):
-    """The (ray, cols, rows) entries whose cell lies on a grid of ``shape``."""
+    """The (ray, cols, rows) entries whose cell lies on a grid of ``shape``, as
+    (ray, row-major flat index) in their order."""
     ray, cols, rows = out
     keep = (0 <= cols) & (cols < shape[1]) & (0 <= rows) & (rows < shape[0])
-    return ray[keep], cols[keep], rows[keep]
+    return ray[keep], rows[keep] * shape[1] + cols[keep]
 
 
 @st.composite
@@ -117,9 +118,9 @@ class TestRaycast:
         (np.empty((0, 2)), np.empty((0, 2))),  # no rays
         ([(4, 4), (-2, 7)], [(4, 4), (-2, 7)]),  # only zero-length rays
     ], ids=["no_rays", "zero_length"])
-    def test_no_cells_are_three_empty_int64_arrays(self, starts, ends):
-        for out in raycast_cells(np.array(starts), np.array(ends), (8, 8)):
-            assert out.shape == (0,) and out.dtype == np.int64
+    def test_no_cells_are_one_empty_int64_array(self, starts, ends):
+        out = raycast_cells(np.array(starts), np.array(ends), (8, 8))
+        assert isinstance(out, np.ndarray) and out.shape == (0,) and out.dtype == np.int64
 
     def test_reverse_direction(self):
         cells = line_cells((5, 2), (1, 2))
@@ -151,9 +152,9 @@ class TestRaycast:
                         [2**40 - 3, 2**40 - 8], [-2**40 + 4, 2**40 - 4]])))
     def test_cells_on_the_grid_match_the_full_traversal(self, case):
         shape, starts, ends = case
-        got = on_grid(raycast_cells(starts, ends, shape), shape)
-        for mine, theirs in zip(got, on_grid(full_raycast(starts, ends), shape)):
-            assert np.array_equal(mine, theirs)
+        got = raycast_cells(starts, ends, shape)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, on_grid(full_raycast(starts, ends), shape)[1])
 
     def test_far_rays_across_the_grid_match_the_float_steps(self):
         # rays from 2**40 cells off a 5x5 grid to 2**40 cells off its other
@@ -171,16 +172,15 @@ class TestRaycast:
         ray, coord = np.repeat(at, 5), np.tile(np.arange(5), len(at))
         step = (coord - start[ray]) * sign[ray]
         order = np.lexsort((step, ray))
-        want = on_grid(float_steps(starts, ends, ray[order], step[order]), (5, 5))
-        got = on_grid(raycast_cells(starts, ends, (5, 5)), (5, 5))
-        assert set(want[0].tolist()) == set(at.tolist())  # every ray crosses the grid
-        for mine, theirs in zip(got, want):
-            assert np.array_equal(mine, theirs)
+        want_ray, want = on_grid(float_steps(starts, ends, ray[order], step[order]), (5, 5))
+        assert set(want_ray.tolist()) == set(at.tolist())  # every ray crosses the grid
+        assert np.array_equal(raycast_cells(starts, ends, (5, 5)), want)
 
     def test_far_ray_costs_at_most_the_grid_side(self):
-        # 10**9 steps would not fit in memory; the grid holds 10 of them
-        ray, _, _ = raycast_cells(np.array([(0, 0)]), np.array([(10**9, 3)]), (10, 10))
-        assert len(ray) <= 13
+        # 10**9 steps would not fit in memory; the grid holds 10 of them, and
+        # only steps whose dominant coordinate lies on the grid are taken
+        cells = raycast_cells(np.array([(0, 0)]), np.array([(10**9, 3)]), (10, 10))
+        assert len(cells) <= 10
 
 
 class TestObstacleMask:
