@@ -28,7 +28,6 @@ from .fusion import (
     offline_window,
     online_init,
     online_step,
-    prior_cells,
 )
 from .world import (
     Box,
@@ -520,9 +519,9 @@ def _run_scenario(cfg: ScenarioConfig, offline: GridMap, out: Path,
     static_total = np.zeros(cfg.n_ticks, dtype=np.int64)
     static_ok = np.zeros(cfg.n_ticks, dtype=np.int64)
     occ_cut = logodds_from_prob(0.9)
-    # prior classes: occupied; and observed; and above occ_cut
-    static = (offline.values > 0.0) & offline.observed
-    classes = (offline.values > 0.0, static, static & (offline.values > occ_cut))
+    # every prior class (occupied; and observed) lies on the prior's occupied cells
+    occ_rows, occ_cols = np.nonzero(offline.values > 0.0)
+    occ_static = offline.observed[occ_rows, occ_cols]
 
     for k in range(cfg.n_ticks):
         t_start = time.perf_counter()
@@ -533,8 +532,7 @@ def _run_scenario(cfg: ScenarioConfig, offline: GridMap, out: Path,
 
         # trace region cells mapped into the current window
         dc, dr = grid.offset_in(offline)
-        wc = cols - dc
-        wr = rows - dr
+        wc, wr = cols - dc, rows - dr
         inside = grid.contains_cell(wc, wr)
         trace_dev[k, inside] = np.abs(grid.values[wr[inside], wc[inside]] - trace_off[inside])
         touched = np.zeros(m, dtype=bool)
@@ -542,21 +540,22 @@ def _run_scenario(cfg: ScenarioConfig, offline: GridMap, out: Path,
         last_observed[touched] = k
 
         observed_cells[k] = np.count_nonzero(grid.observed)
-        # off the deviating cells the window holds the prior's values: count the
-        # prior classes over the observed cells, then correct at those cells
-        n_occ, static_total[k], n_held = (
-            np.count_nonzero(prior_cells(c, offline, grid, False) & grid.observed)
-            for c in classes)
+        # the prior's occupied cells in the window give the static counts and
+        # the IoU's intersection; its union adds the observed cells occupied
+        # online only, which differ from the prior and so are deviating cells
+        wc, wr = occ_cols - dc, occ_rows - dr
+        inside = grid.contains_cell(wc, wr)
+        at = wr[inside], wc[inside]
+        on, seen = grid.values[at], grid.observed[at]
+        static = seen & occ_static[inside]
+        static_total[k] = np.count_nonzero(static)
+        static_ok[k] = np.count_nonzero(static & (on > occ_cut))
+        shared, union = np.count_nonzero(seen & (on > 0.0)), np.count_nonzero(seen)
         prior = offline_window(offline, grid)
         at = np.divmod(np.flatnonzero(online.deviating), grid.width)
-        on, off, seen = grid.values[at], prior.values[at], grid.observed[at]
-        on_occ, off_occ = (on > 0.0) & seen, (off > 0.0) & seen
-        shared = n_occ - np.count_nonzero(off_occ)
-        union = shared + np.count_nonzero(on_occ | off_occ)
-        iou[k] = (shared + np.count_nonzero(on_occ & off_occ)) / union if union else 1.0
-        off_occ &= prior.observed[at]
-        static_ok[k] = (n_held + np.count_nonzero(off_occ & (on > occ_cut))
-                        - np.count_nonzero(off_occ & (off > occ_cut)))
+        union += np.count_nonzero(
+            grid.observed[at] & (grid.values[at] > 0.0) & (prior.values[at] <= 0.0))
+        iou[k] = shared / union if union else 1.0
 
         if k % cfg.render_stride == 0:
             frame = frames_dir / f"frame_{k:06d}.ppm"

@@ -11,6 +11,7 @@ time at which the dynamic objects are placed, so sweeps are bit-reproducible.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -176,16 +177,24 @@ class Sweep:
     ground_z: float
 
 
+@functools.lru_cache(maxsize=4)
+def _ray_fan(yaw: float, n_scans: int, elevations: bytes) -> tuple:
+    """Read-only ``(dx, dy, dz)`` of :func:`ray_geometry`, once per heading."""
+    azimuths, elev = yaw + np.arange(n_scans) * (TAU / n_scans), np.frombuffer(elevations)
+    cos_e = np.cos(elev)
+    fan = np.cos(azimuths)[:, None] * cos_e, np.sin(azimuths)[:, None] * cos_e, np.sin(elev)
+    for d in fan:
+        d.flags.writeable = False
+    return fan
+
+
 def ray_geometry(ego: Pose, cfg: SensorConfig, ground_z: float):
     """``(origin, dx, dy, dz)`` of a sweep's rays: scan i faces ``ego.yaw + i *
     TAU / n_scans``, and ray (i, b) leaves ``origin`` along the unit vector
-    ``(dx[i, b], dy[i, b], dz[b])``; ``dz`` holds one value per beam.  Its
-    return lies at ``origin[k] + range * d[k]``, in that order."""
-    azimuths = ego.yaw + np.arange(cfg.azimuth_steps) * (TAU / cfg.azimuth_steps)
-    elev = cfg.vertical_angles
-    cos_e = np.cos(elev)
+    ``(dx[i, b], dy[i, b], dz[b])``, one ``dz`` per beam, read-only and shared
+    at one heading.  Its return lies at ``origin[k] + range * d[k]``, in that order."""
     return (np.array([ego.x, ego.y, ground_z + cfg.mount_height]),
-            np.cos(azimuths)[:, None] * cos_e, np.sin(azimuths)[:, None] * cos_e, np.sin(elev))
+            *_ray_fan(ego.yaw, cfg.azimuth_steps, cfg.vertical_angles.tobytes()))
 
 
 def _box_enter_t(origin: Sequence[float], dirs: Sequence[np.ndarray],
@@ -271,7 +280,9 @@ def simulate_sweep(world: World, ego: Pose, cfg: SensorConfig,
         local = (c * ox - s * oy, s * ox + c * oy, origin[2])
         for rows in _sector_rows(local, lo, hi, ego.yaw - pose.yaw, n_az):
             x, y = dx[rows], dy[rows]
-            enter = _box_enter_t(local, (c * x - s * y, s * x + c * y, dz), lo, hi)
+            if pose.yaw:  # at yaw 0 the rotation gives x and y back bit for bit
+                x, y = c * x - s * y, s * x + c * y
+            enter = _box_enter_t(local, (x, y, dz), lo, hi)
             best[rows] = np.minimum(best[rows], enter)
 
     if cfg.noise_sigma > 0.0:

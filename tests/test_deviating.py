@@ -95,10 +95,11 @@ class DenseOnline:
     def prior(self, offline: GridMap) -> GridMap:
         return _prior(offline, self.grid.offset_in(offline), self.cells)
 
-    def metrics(self, offline: GridMap) -> tuple[float, int, int]:
+    def metrics(self, offline: GridMap) -> tuple[int, float, int, int]:
         g, prior = self.grid, self.prior(offline)
         static = (prior.values > 0.0) & prior.observed & g.observed
-        return (occupancy_iou(g.values, prior.values, g.observed),
+        return (int(np.count_nonzero(g.observed)),
+                occupancy_iou(g.values, prior.values, g.observed),
                 int(np.count_nonzero(static)),
                 int(np.count_nonzero(static & (g.values > OCC_CUT))))
 
@@ -132,7 +133,8 @@ def check_against(dense: DenseOnline, online, decay: DecayParams) -> None:
 def run_beside_oracle(cfg, offline: GridMap, out: Path) -> tuple:
     """``run_scenario`` with the dense oracle stepped and checked after every
     library step; returns the run's metrics and the oracle's per-tick
-    (iou, static_total, static_ok, trace deviation, touched trace cells)."""
+    (observed_cells, iou, static_total, static_ok, trace deviation, touched
+    trace cells)."""
     dense = DenseOnline(offline, ego_pose_at(cfg.ego_trajectory, 0.0), cfg.window_size)
     rows, cols = scenario.compute_trace_region(cfg, offline)
     expected = []
@@ -194,7 +196,9 @@ MINI_CASES = {
 
 
 def _assert_metrics_match(metrics, expected) -> None:
-    iou, static_total, static_ok, trace_dev, touched = (np.array(v) for v in zip(*expected))
+    observed, iou, static_total, static_ok, trace_dev, touched = (
+        np.array(v) for v in zip(*expected))
+    assert metrics.observed_cells.tolist() == observed.tolist()
     assert metrics.iou.tolist() == iou.tolist()
     assert metrics.static_total.tolist() == static_total.tolist()
     assert metrics.static_ok.tolist() == static_ok.tolist()
@@ -238,6 +242,32 @@ def test_prior_holding_negative_zeros(tmp_path):
     held = fusion.prior_cells(zeros, offline, final, False) & (final.values == 0.0)
     assert held.sum() > 1000
     assert np.signbit(final.values[held]).all()
+
+
+def _east_wall(raw: dict) -> dict:
+    """A wall 2 m inside the extent's east edge, which the overhanging window passes."""
+    raw["world"]["static_boxes"].append(
+        {"x_min": 22.0, "x_max": 22.4, "y_min": -6.0, "y_max": 6.0, "z_top": 3.0})
+    return raw
+
+
+@pytest.mark.parametrize("case", ["mini", "overhang_mini"])
+def test_prior_occupied_cells_left_unobserved(case, tmp_path):
+    # a prior whose occupied cells are not all observed tells the static
+    # class (occupied and observed) from the occupied one
+    cfg = config_from_dict(_east_wall(MINI_CASES[case](copy.deepcopy(conftest.MINI_CONFIG))))
+    offline = build_offline_phase(cfg)
+    rows, cols = np.nonzero(offline.values > 0.0)
+    assert offline.observed[rows, cols].all()
+    full, _ = run_beside_oracle(cfg, offline.copy(), tmp_path / "full")
+    offline.observed[rows[::2], cols[::2]] = False
+    metrics, expected = run_beside_oracle(cfg, offline, tmp_path / "half")
+    _assert_metrics_match(metrics, expected)
+    # the online run is the same; only the static counts drop
+    assert np.array_equal(metrics.iou, full.iou)
+    assert (metrics.static_total <= full.static_total).all()
+    assert (metrics.static_total < full.static_total).any()
+    assert (metrics.static_ok < full.static_ok).any()
 
 
 def test_trace_deviation_is_an_absolute_value(tmp_path):

@@ -412,12 +412,56 @@ class TestBoxCulling:
     # the sector starts exactly on row 0, so its padded first row wraps to the last
     @example((flat_world([Box(1.0, 3.0, 0.0, 2.0, 3.0)]), Pose(0.0, 0.0, 0.0, 0.0),
               small_sensor(azimuth_steps=8), 0))
+    # dynamic objects at yaw 0 skip the rotation, which the oracle still
+    # applies: one on row 0, where dy is +0.0, and one off to the side
+    @example((flat_world(objects=[DynamicObject("d0", 2.0, 1.0, 1.5, [Pose(5.0, 0.0)]),
+                                  DynamicObject("d1", 1.0, 3.0, 2.5, [Pose(-3.0, 3.0)])]),
+              Pose(0.0, 0.0, 0.0, 0.0), small_sensor(azimuth_steps=8), 0))
+    @example((flat_world([Box(-4.0, -3.0, -1.0, 1.0, 2.0)],
+                         [DynamicObject("d0", 2.0, 1.0, 1.5, [Pose(3.0, 2.0)])]),
+              Pose(0.5, -0.5, 1.0, 0.0), small_sensor(noise_sigma=0.05), 7))
     def test_matches_full_slab_test(self, case):
         world, ego, cfg, seed = case
         sweep = simulate_sweep(world, ego, cfg, np.random.default_rng(seed))
         ranges, hits = full_slab_sweep(world, ego, cfg, np.random.default_rng(seed))
         assert np.array_equal(sweep.ranges, ranges, equal_nan=True)
         assert np.array_equal(sweep_points(sweep), hits, equal_nan=True)
+
+
+@st.composite
+def sensors(draw):
+    """A sensor of 1 to 2000 scans and up to 16 beams, the first one downward."""
+    up = draw(st.lists(st.floats(-math.pi / 2, math.pi / 2, exclude_min=True), max_size=15))
+    first = draw(st.floats(-math.pi / 2, min(up + [0.0]), exclude_max=True))
+    return small_sensor(azimuth_steps=draw(st.integers(1, 2000)),
+                        vertical_angles=sorted({first, *up}))
+
+
+class TestRayFan:
+    @settings(max_examples=100, deadline=None)
+    @given(sensors(), st.floats(-math.pi, math.pi), st.floats(-50.0, 50.0))
+    def test_one_read_only_fan_per_heading(self, cfg, yaw, x):
+        origin, *fan = ray_geometry(Pose(x, 1.0, yaw), cfg, -0.5)
+        n, elev = cfg.azimuth_steps, cfg.vertical_angles
+        azimuths = Pose(0.0, 0.0, yaw).yaw + np.arange(n) * (TAU / n)
+        cos_e = np.cos(elev)
+        expected = (np.cos(azimuths)[:, None] * cos_e, np.sin(azimuths)[:, None] * cos_e,
+                    np.sin(elev))
+        for got, want in zip(fan, expected, strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert origin.tolist() == [x, 1.0, cfg.mount_height - 0.5]
+        # the same heading on an equal sensor gets the same arrays, a new origin
+        again = ray_geometry(Pose(0.0, 0.0, yaw),
+                             dataclasses.replace(cfg, vertical_angles=elev.copy()), 0.0)
+        assert all(a is b for a, b in zip(again[1:], fan, strict=True))
+        assert again[0].tolist() == [0.0, 0.0, cfg.mount_height]
+        # another sensor at that heading does not
+        beams = elev[:-1] if elev[-1] == math.pi / 2 else np.append(elev, math.pi / 2)
+        for other in (dataclasses.replace(cfg, azimuth_steps=n + 1),
+                      dataclasses.replace(cfg, vertical_angles=beams)):
+            other_fan = ray_geometry(Pose(x, 1.0, yaw), other, -0.5)[1:]
+            assert all(a is not b for a, b in zip(other_fan, fan, strict=True))
 
 
 class TestDerivedPoints:
