@@ -11,7 +11,8 @@ from .fusion import build_offline, clean_offline, online_init, online_step, rece
 from .grid import DecayParams, GridMap, apply_decay, read_map, write_map
 from .instant import apply_instant, build_instant_map
 from .scenario import config_from_dict, load_config, run_scenario
-from .world import SensorConfig, ego_pose_at, simulate_sweep
+from .world import SensorConfig, simulate_sweep
+from .world import interpolate_pose as ego_pose_at
 
 __version__ = "0.1.0"
 

@@ -36,7 +36,7 @@ from .world import (
     Rect,
     SensorConfig,
     World,
-    ego_pose_at,
+    interpolate_pose,
     simulate_sweep,
 )
 
@@ -362,16 +362,18 @@ class RunMetrics:
         return float(self.iou[-1]) if len(self.iou) else 1.0
 
 
-def occupancy_iou(a_values: np.ndarray, b_values: np.ndarray,
-                  mask: np.ndarray) -> float:
-    """Cellwise IoU of occupancy (p > 0.5, log-odds > 0) over the masked cells."""
-    a_occ = a_values > 0.0
-    a_occ &= mask
-    b_occ = b_values > 0.0
-    b_occ &= mask
-    union = np.count_nonzero(a_occ | b_occ)
-    a_occ &= b_occ
-    return np.count_nonzero(a_occ) / union if union else 1.0
+def occupancy_iou(grid: GridMap, prior: GridMap, occupied, deviating: np.ndarray) -> float:
+    """IoU of occupancy (log-odds > 0) between the window ``grid`` and its
+    prior window ``prior`` over the observed cells, in exact integer counts.
+    ``occupied`` indexes the window cells the prior occupies; ``deviating``
+    marks at least the cells whose value differs from the prior's, which hold
+    every cell occupied online but not in the prior."""
+    seen = grid.observed[occupied]
+    shared, union = np.count_nonzero(seen & (grid.values[occupied] > 0.0)), np.count_nonzero(seen)
+    at = np.divmod(np.flatnonzero(deviating), grid.width)  # faster than a 2-D nonzero
+    union += np.count_nonzero(grid.observed[at] & (grid.values[at] > 0.0)
+                              & (prior.values[at] <= 0.0))
+    return shared / union if union else 1.0
 
 
 def _cell_near(grid: GridMap, x, y, pad: float):
@@ -417,7 +419,10 @@ def compute_trace_region(cfg: ScenarioConfig,
     the sensor at all.  Static obstacle footprints are excluded the same way.
     """
     mask = np.zeros(offline.shape, dtype=bool)
-    times = np.arange(cfg.n_ticks) / cfg.tick_rate
+    try:
+        times = np.arange(cfg.n_ticks) / cfg.tick_rate
+    except MemoryError as exc:
+        raise ConfigError(f"duration: {cfg.n_ticks} ticks do not fit in memory: {exc}") from exc
     for obj in cfg.world.dynamic_objects:
         _mark_footprints(mask, True, obj, times, offline)
     mask &= offline.observed & (offline.values < 0.0)
@@ -468,7 +473,7 @@ def build_offline_phase(cfg: ScenarioConfig) -> GridMap:
     t0 = cfg.offline_trajectory[0].t
     rng = np.random.default_rng(cfg.seed)
     times = (t0 + k / cfg.offline_tick_rate for k in range(cfg.n_offline_ticks))
-    sweeps = (simulate_sweep(world, ego_pose_at(cfg.offline_trajectory, t), cfg.sensor, rng)
+    sweeps = (simulate_sweep(world, interpolate_pose(cfg.offline_trajectory, t), cfg.sensor, rng)
               for t in times)
     lat = cfg.lattice  # blank, not lat.copy(): np.zeros commits no page until it is written
     try:
@@ -499,25 +504,21 @@ def run_scenario(cfg: ScenarioConfig, offline: GridMap, output_dir) -> RunMetric
 
 def _run_scenario(cfg: ScenarioConfig, offline: GridMap, out: Path,
                   created: list[Path]) -> RunMetrics:
+    rows, cols = compute_trace_region(cfg, offline)
+    try:  # the per-tick records
+        trace_dev = np.zeros((cfg.n_ticks, len(rows)))
+        observed_cells, static_total, static_ok = np.zeros((3, cfg.n_ticks), dtype=np.int64)
+        iou, wall = np.zeros((2, cfg.n_ticks))
+    except MemoryError as exc:
+        raise ConfigError(f"duration: {cfg.n_ticks} ticks do not fit in memory: {exc}") from exc
+    trace_off = offline.values[rows, cols]
+    last_observed = np.full(len(rows), -1, dtype=np.int64)
     out.mkdir(parents=True, exist_ok=True)
     frames_dir = out / "frames"
     frames_dir.mkdir(exist_ok=True)
 
-    rows, cols = compute_trace_region(cfg, offline)
-    trace_off = offline.values[rows, cols]
-
-    ego0 = ego_pose_at(cfg.ego_trajectory, 0.0)
-    online = online_init(offline, ego0, cfg.window_size)
+    online = online_init(offline, interpolate_pose(cfg.ego_trajectory, 0.0), cfg.window_size)
     rng = np.random.default_rng(cfg.seed + 1)
-
-    m = len(rows)
-    trace_dev = np.zeros((cfg.n_ticks, m), dtype=np.float64)
-    last_observed = np.full(m, -1, dtype=np.int64)
-    observed_cells = np.zeros(cfg.n_ticks, dtype=np.int64)
-    iou = np.zeros(cfg.n_ticks, dtype=np.float64)
-    wall = np.zeros(cfg.n_ticks, dtype=np.float64)
-    static_total = np.zeros(cfg.n_ticks, dtype=np.int64)
-    static_ok = np.zeros(cfg.n_ticks, dtype=np.int64)
     occ_cut = logodds_from_prob(0.9)
     # every prior class (occupied; and observed) lies on the prior's occupied cells
     occ_rows, occ_cols = np.nonzero(offline.values > 0.0)
@@ -525,7 +526,7 @@ def _run_scenario(cfg: ScenarioConfig, offline: GridMap, out: Path,
 
     for k in range(cfg.n_ticks):
         t_start = time.perf_counter()
-        pose = ego_pose_at(cfg.ego_trajectory, k / cfg.tick_rate)
+        pose = interpolate_pose(cfg.ego_trajectory, k / cfg.tick_rate)
         sweep = simulate_sweep(cfg.world, pose, cfg.sensor, rng)
         inst = online_step(online, sweep, cfg.decay, cfg.thresholds)
         grid = online.grid
@@ -533,29 +534,20 @@ def _run_scenario(cfg: ScenarioConfig, offline: GridMap, out: Path,
         # trace region cells mapped into the current window
         dc, dr = grid.offset_in(offline)
         wc, wr = cols - dc, rows - dr
-        inside = grid.contains_cell(wc, wr)
-        trace_dev[k, inside] = np.abs(grid.values[wr[inside], wc[inside]] - trace_off[inside])
-        touched = np.zeros(m, dtype=bool)
-        touched[inside] = inst.kind[wr[inside], wc[inside]] != 0
-        last_observed[touched] = k
+        inside = np.flatnonzero(grid.contains_cell(wc, wr))
+        at = wr[inside], wc[inside]
+        trace_dev[k, inside] = np.abs(grid.values[at] - trace_off[inside])
+        last_observed[inside[inst.kind[at] != 0]] = k
 
         observed_cells[k] = np.count_nonzero(grid.observed)
-        # the prior's occupied cells in the window give the static counts and
-        # the IoU's intersection; its union adds the observed cells occupied
-        # online only, which differ from the prior and so are deviating cells
+        # the prior's occupied cells in the window give the static counts and the IoU
         wc, wr = occ_cols - dc, occ_rows - dr
         inside = grid.contains_cell(wc, wr)
         at = wr[inside], wc[inside]
-        on, seen = grid.values[at], grid.observed[at]
-        static = seen & occ_static[inside]
+        static = grid.observed[at] & occ_static[inside]
         static_total[k] = np.count_nonzero(static)
-        static_ok[k] = np.count_nonzero(static & (on > occ_cut))
-        shared, union = np.count_nonzero(seen & (on > 0.0)), np.count_nonzero(seen)
-        prior = offline_window(offline, grid)
-        at = np.divmod(np.flatnonzero(online.deviating), grid.width)
-        union += np.count_nonzero(
-            grid.observed[at] & (grid.values[at] > 0.0) & (prior.values[at] <= 0.0))
-        iou[k] = shared / union if union else 1.0
+        static_ok[k] = np.count_nonzero(static & (grid.values[at] > occ_cut))
+        iou[k] = occupancy_iou(grid, offline_window(offline, grid), at, online.deviating)
 
         if k % cfg.render_stride == 0:
             frame = frames_dir / f"frame_{k:06d}.ppm"

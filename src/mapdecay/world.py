@@ -110,8 +110,6 @@ class DynamicObject:
         return interpolate_pose(self.trajectory, t)
 
 
-ego_pose_at = interpolate_pose
-
 
 @dataclass
 class World:

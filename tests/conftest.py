@@ -8,7 +8,8 @@ import pytest
 from mapdecay import DecayParams, DomainError, ParameterError, config_from_dict
 
 
-# Oracles of the log-odds and decay rules in mapdecay.grid; no library code calls them.
+# Oracles of the log-odds and decay rules in mapdecay.grid and of the run's IoU;
+# no library code calls them.
 def prob_from_logodds(l: float) -> float:
     """Inverse of :func:`logodds_from_prob`; returns a value in (0, 1)."""
     if not math.isfinite(l):
@@ -24,6 +25,17 @@ def decay_cell_pow(on: float, off: float, params: DecayParams, k: int) -> float:
     if k == 0:
         return on
     return off + (on - off) * params.retention ** k
+
+
+def dense_iou(a_values, b_values, mask):
+    """Oracle of ``scenario.occupancy_iou``: both masked occupancy masks,
+    their union and intersection."""
+    a_occ = (a_values > 0.0) & mask
+    b_occ = (b_values > 0.0) & mask
+    union = int((a_occ | b_occ).sum())
+    if union == 0:
+        return 1.0
+    return int((a_occ & b_occ).sum()) / union
 
 
 # A desk-size scenario that runs in a couple of seconds: a stationary ego, a

@@ -38,7 +38,7 @@ from mapdecay import (
 from mapdecay import fusion, scenario
 from mapdecay.grid import L_MAX, L_MIN, decay_cell, logodds_from_prob
 from mapdecay.instant import L_FREE_SET, InstantMap
-from mapdecay.scenario import build_offline_phase, occupancy_iou
+from mapdecay.scenario import build_offline_phase
 from mapdecay.world import Pose
 
 OVERTAKE = Path(__file__).resolve().parent.parent / "configs" / "overtake.json"
@@ -99,7 +99,7 @@ class DenseOnline:
         g, prior = self.grid, self.prior(offline)
         static = (prior.values > 0.0) & prior.observed & g.observed
         return (int(np.count_nonzero(g.observed)),
-                occupancy_iou(g.values, prior.values, g.observed),
+                conftest.dense_iou(g.values, prior.values, g.observed),
                 int(np.count_nonzero(static)),
                 int(np.count_nonzero(static & (g.values > OCC_CUT))))
 

@@ -16,6 +16,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import conftest
 
@@ -39,6 +40,7 @@ from mapdecay import (
     run_scenario,
     write_map,
 )
+from mapdecay import scenario
 from mapdecay.cli import main
 from mapdecay.grid import L_MAX, L_MIN
 from mapdecay.instant import L_FREE_SET, L_OCC, InstantMap
@@ -337,26 +339,30 @@ def test_config_edits_are_rejected_at_the_boundary(edits):
         and re.match(r"error: (\w*)", errors[0])[1] in _SHORT_MINI), (status, errors)
 
 
-def dense_iou(a_values, b_values, mask):
-    """Reference IoU: both masked occupancy masks, their union and intersection."""
-    a_occ = (a_values > 0.0) & mask
-    b_occ = (b_values > 0.0) & mask
-    union = int((a_occ | b_occ).sum())
-    if union == 0:
-        return 1.0
-    return int((a_occ & b_occ).sum()) / union
-
-
 @st.composite
 def _iou_cases(draw):
+    """(online, prior, observed, extra): window and prior values, the
+    window's observed flags, and marks added to the cells that differ."""
     shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=9))
     # 0.0 is the occupancy edge: it counts as not occupied
     cell = st.floats(L_MIN, L_MAX) | st.sampled_from([0.0, -0.0, 5e-324])
-    a_values = draw(hnp.arrays(np.float64, shape, elements=cell))
-    b_values = draw(hnp.arrays(np.float64, shape, elements=cell))
-    mask = draw(st.sampled_from([np.zeros(shape, bool), np.ones(shape, bool)])
-                | hnp.arrays(np.bool_, shape))
-    return a_values, b_values, mask
+    prior = draw(hnp.arrays(np.float64, shape, elements=cell))
+    online = draw(hnp.arrays(np.float64, shape, elements=cell))
+    online = np.where(draw(hnp.arrays(np.bool_, shape)), prior, online)  # cells at their prior
+    observed = draw(st.sampled_from([np.zeros(shape, bool), np.ones(shape, bool)])
+                    | hnp.arrays(np.bool_, shape))
+    return online, prior, observed, draw(hnp.arrays(np.bool_, shape))
+
+
+def _cells(*occupied):
+    """A 4x4 map of 0.0 with 5.0 at the ``occupied`` (row, col) cells."""
+    values = np.zeros((4, 4))
+    for cell in occupied:
+        values[cell] = 5.0
+    return values
+
+
+ALL, NONE = np.ones((4, 4), bool), np.zeros((4, 4), bool)
 
 
 def persistence(max_dev, eps_trace: float):
@@ -377,30 +383,38 @@ class TestMetrics:
         stream = 11.0 * (10.0 / 11.0) ** np.arange(80)
         assert persistence(stream, 0.1) == 50
 
-    def test_iou_examples(self):
-        a = GridMap.blank(0.2, 0, 0, 4, 4)
-        mask = np.ones((4, 4), dtype=bool)
-        a.values[0, 0] = 5.0
-        assert occupancy_iou(a.values, a.values, mask) == 1.0
-        b = GridMap.blank(0.2, 0, 0, 4, 4)
-        b.values[1, 1] = 5.0
-        assert occupancy_iou(a.values, b.values, mask) == 0.0
-        empty = np.zeros((4, 4))
-        assert occupancy_iou(empty, empty, mask) == 1.0
+    @given(_iou_cases(), st.none())
+    @example((_cells((0, 0)), _cells((0, 0)), ALL, NONE), 1.0)  # equal maps
+    @example((_cells((0, 0)), _cells((1, 1)), ALL, ALL), 0.0)  # disjoint
+    @example((_cells(), _cells(), ALL, NONE), 1.0)  # empty
+    @example((_cells((0, 0)), _cells(), _cells((0, 0)) == 0.0, NONE), 1.0)  # unobserved cell
+    @example((np.ones((3, 3)), np.ones((3, 3)), np.zeros((3, 3), bool),
+              np.ones((3, 3), bool)), 1.0)
+    @example((np.zeros((2, 4)), np.zeros((2, 4)), np.ones((2, 4), bool),
+              np.zeros((2, 4), bool)), 1.0)
+    def test_iou_matches_dense_iou(self, case, expected):
+        # deviating marks every cell that differs from the prior, and more
+        online, prior, observed, extra = case
+        grid = GridMap(0.2, 0.0, 0.0, online, observed)
+        iou = occupancy_iou(grid, GridMap(0.2, 0.0, 0.0, prior), np.nonzero(prior > 0.0),
+                            (online != prior) | extra)
+        assert iou == conftest.dense_iou(online, prior, observed)
+        assert expected is None or iou == expected
 
-    def test_iou_respects_mask(self):
-        a = GridMap.blank(0.2, 0, 0, 4, 4)
-        b = GridMap.blank(0.2, 0, 0, 4, 4)
-        a.values[0, 0] = 5.0
-        mask = np.ones((4, 4), dtype=bool)
-        mask[0, 0] = False
-        assert occupancy_iou(a.values, b.values, mask) == 1.0
+    def test_the_run_scores_every_tick_with_occupancy_iou(self, mini_dict, tmp_path):
+        mini_dict["duration"] = 2.0
+        cfg = config_from_dict(mini_dict)
+        offline = build_offline_phase(cfg)
+        returns = []
 
-    @given(_iou_cases())
-    @example((np.ones((3, 3)), np.ones((3, 3)), np.zeros((3, 3), bool)))
-    @example((np.zeros((2, 4)), np.zeros((2, 4)), np.ones((2, 4), bool)))
-    def test_iou_matches_dense_iou(self, case):
-        assert occupancy_iou(*case) == dense_iou(*case)
+        def record(*args):
+            returns.append(occupancy_iou(*args))
+            return returns[-1]
+
+        with mock.patch.object(scenario, "occupancy_iou", wraps=record) as spy:
+            metrics = run_scenario(cfg, offline, tmp_path)
+        assert spy.call_count == cfg.n_ticks == 40
+        assert metrics.iou.tolist() == returns and len(set(returns)) > 1
 
 
 def dense_render(grid, path):
@@ -1043,6 +1057,19 @@ class TestCli:
         mini_dict["sensor"].update(azimuth_steps=1, beam_count=2**53 + 1)
         self._fails_naming(mini_dict, tmp_path, capsys, "sensor: beam_count: 9007199254740993 "
                            "beam angles do not fit in memory: ")
+
+    @pytest.mark.parametrize("region", [
+        compute_trace_region, lambda cfg, offline: (np.zeros(0, np.intp),) * 2,
+    ], ids=["tick_times", "records"])
+    def test_duration_too_long_to_record_exits_one(self, mini_dict, tmp_path, capsys, region):
+        # 2e15 ticks pass the tick bound, but not the trace region's 16 PB of
+        # tick times, nor, with no trace cells, the run's per-tick records;
+        # the run fails before it writes anything
+        mini_dict["duration"] = 1e14
+        with mock.patch.object(scenario, "compute_trace_region", region):
+            self._fails_naming(mini_dict, tmp_path, capsys,
+                               "duration: 2000000000000000 ticks do not fit in memory: ")
+        assert not (tmp_path / "out").exists()
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
