@@ -155,7 +155,10 @@ def online_init(offline: GridMap, ego: Pose, window_size: float) -> OnlineMap:
     """Window centered on the ego, every cell copied from the offline map."""
     if not offline.contains_point(ego.x, ego.y):
         raise ScenarioError("ego pose lies outside the offline map extent")
-    cells = max(1, round(window_size / offline.resolution))
+    cells = window_size / offline.resolution
+    if not 1.5 <= cells < np.inf:  # the config's rule: finite, rounding to two cells or more
+        raise ParameterError(f"window_size: must be at least two {offline.resolution!r} m cells")
+    cells = round(cells)
     online = OnlineMap(GridMap.blank(offline.resolution, offline.origin_x, offline.origin_y, 0, 0),
                        offline, np.zeros((0, 0), dtype=bool), offline.values != L_FREE_SET)
     _move(online, _snapped_cell(offline, ego, cells), cells)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigError
 from .grid import DecayParams, GridMap, check_values, logodds_from_prob, write_map
-from .instant import ObstacleThresholds
+from .instant import KIND_UNTOUCHED, ObstacleThresholds
 from .fusion import (
     CleanParams,
     build_offline,
@@ -41,6 +42,15 @@ from .world import (
 )
 
 _MAX_ELEMENTS = np.iinfo(np.intp).max // 8  # elements of the largest float64 numpy array
+
+
+@contextmanager
+def _fits(what: str):
+    """Turn a failed allocation into a ConfigError naming ``what``, the field and size."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise ConfigError(f"{what} do not fit in memory: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +250,8 @@ def _sensor(beam_count, vertical_min_deg, vertical_max_deg, vertical_angles_deg,
         raise ConfigError(f"azimuth_steps: {azimuth_steps} steps x {beam_count} beams exceed "
                           f"the {_MAX_ELEMENTS} rays a sweep can hold")
     if vertical_angles_deg is None:
-        try:
+        with _fits(f"beam_count: {beam_count} beam angles"):
             vertical_angles_deg = np.linspace(vertical_min_deg, vertical_max_deg, beam_count)
-        except MemoryError as exc:
-            raise ConfigError(f"beam_count: {beam_count} beam angles do not fit in memory: "
-                              f"{exc}") from exc
     elif len(vertical_angles_deg) != beam_count:
         raise ConfigError(f"vertical_angles_deg: {len(vertical_angles_deg)} angles "
                           f"for beam_count {beam_count}")
@@ -419,10 +426,8 @@ def compute_trace_region(cfg: ScenarioConfig,
     the sensor at all.  Static obstacle footprints are excluded the same way.
     """
     mask = np.zeros(offline.shape, dtype=bool)
-    try:
+    with _fits(f"duration: {cfg.n_ticks} ticks"):
         times = np.arange(cfg.n_ticks) / cfg.tick_rate
-    except MemoryError as exc:
-        raise ConfigError(f"duration: {cfg.n_ticks} ticks do not fit in memory: {exc}") from exc
     for obj in cfg.world.dynamic_objects:
         _mark_footprints(mask, True, obj, times, offline)
     mask &= offline.observed & (offline.values < 0.0)
@@ -476,11 +481,8 @@ def build_offline_phase(cfg: ScenarioConfig) -> GridMap:
     sweeps = (simulate_sweep(world, interpolate_pose(cfg.offline_trajectory, t), cfg.sensor, rng)
               for t in times)
     lat = cfg.lattice  # blank, not lat.copy(): np.zeros commits no page until it is written
-    try:
+    with _fits(f"extent: {lat.width}x{lat.height} cells of {lat.resolution!r} m"):
         grid = GridMap.blank(lat.resolution, lat.origin_x, lat.origin_y, lat.width, lat.height)
-    except MemoryError as exc:
-        raise ConfigError(f"extent: {lat.width}x{lat.height} cells of {lat.resolution!r} m "
-                          f"do not fit in memory: {exc}") from exc
     build_offline(sweeps, grid, cfg.thresholds)
     return clean_offline(grid, cfg.clean)
 
@@ -505,12 +507,10 @@ def run_scenario(cfg: ScenarioConfig, offline: GridMap, output_dir) -> RunMetric
 def _run_scenario(cfg: ScenarioConfig, offline: GridMap, out: Path,
                   created: list[Path]) -> RunMetrics:
     rows, cols = compute_trace_region(cfg, offline)
-    try:  # the per-tick records
+    with _fits(f"duration: {cfg.n_ticks} ticks"):  # the per-tick records
         trace_dev = np.zeros((cfg.n_ticks, len(rows)))
         observed_cells, static_total, static_ok = np.zeros((3, cfg.n_ticks), dtype=np.int64)
         iou, wall = np.zeros((2, cfg.n_ticks))
-    except MemoryError as exc:
-        raise ConfigError(f"duration: {cfg.n_ticks} ticks do not fit in memory: {exc}") from exc
     trace_off = offline.values[rows, cols]
     last_observed = np.full(len(rows), -1, dtype=np.int64)
     out.mkdir(parents=True, exist_ok=True)
@@ -537,7 +537,7 @@ def _run_scenario(cfg: ScenarioConfig, offline: GridMap, out: Path,
         inside = np.flatnonzero(grid.contains_cell(wc, wr))
         at = wr[inside], wc[inside]
         trace_dev[k, inside] = np.abs(grid.values[at] - trace_off[inside])
-        last_observed[inside[inst.kind[at] != 0]] = k
+        last_observed[inside[inst.kind[at] != KIND_UNTOUCHED]] = k
 
         observed_cells[k] = np.count_nonzero(grid.observed)
         # the prior's occupied cells in the window give the static counts and the IoU

@@ -8,8 +8,8 @@ from unittest import mock
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from conftest import decay_cell_pow
-from hypothesis import example, given, settings, strategies as st
+from conftest import MINI_CONFIG, decay_cell_pow
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import ndimage
 
 from mapdecay import (
@@ -24,6 +24,7 @@ from mapdecay import (
     build_instant_map,
     build_offline,
     clean_offline,
+    config_from_dict,
     ego_pose_at,
     online_init,
     online_step,
@@ -225,6 +226,11 @@ class TestCleanOffline:
             CleanParams(0.5, 0)
 
 
+@pytest.fixture(scope="module")
+def mini_prior():
+    return build_offline_phase(config_from_dict(MINI_CONFIG))
+
+
 class TestOnlineWindow:
     def _offline(self):
         rng = np.random.default_rng(2)
@@ -252,6 +258,28 @@ class TestOnlineWindow:
     def test_ego_outside_offline_rejected(self):
         with pytest.raises(ScenarioError):
             online_init(self._offline(), Pose(500.0, 0, 0, 0), 20.0)
+
+    # the mini prior's cell edges and centres, and any point of its extent
+    _MINI_X = st.one_of(st.integers(0, 239).map(lambda i: -24.0 + 0.2 * i),
+                        st.integers(0, 239).map(lambda i: -24.0 + 0.2 * (i + 0.5)),
+                        st.floats(-24.0, 24.0, exclude_max=True))
+
+    @settings(max_examples=200, deadline=None)
+    @given(window_size=st.one_of(
+               st.sampled_from([0.0, -5.0, math.nan, math.inf, -math.inf, 0.2, 0.3]),
+               st.floats(0.0, 0.6),  # under three cells
+               st.floats(1.5 - 1e-9, 1.5 + 1e-9).map(lambda c: c * 0.2),
+               st.floats(-10.0, 60.0)),
+           x=_MINI_X, y=_MINI_X)
+    @example(window_size=0.2, x=0.2, y=0.0)  # a one-cell window snapped off the ego
+    def test_window_holds_the_ego_or_is_rejected(self, mini_prior, window_size, x, y):
+        assume(mini_prior.contains_point(x, y))
+        try:
+            online = online_init(mini_prior, Pose(x, y, 0.0, 0.0), window_size)
+        except ParameterError as exc:
+            assert str(exc).startswith("window_size: ")
+        else:
+            assert online.grid.contains_point(x, y)
 
     def test_recenter_preserves_staying_cells(self):
         off = self._offline()

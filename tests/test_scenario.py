@@ -288,6 +288,40 @@ class TestConfigValidation:
         assert config_from_dict(mini_dict).lattice.shape == (5_000_000_120, 240)
 
 
+def _on_a_blank_prior(raw):
+    cfg = config_from_dict(raw)
+    return cfg, cfg.lattice.copy()
+
+
+def _run_with_no_trace_cells(raw, out):
+    with mock.patch.object(scenario, "compute_trace_region",
+                           lambda cfg, offline: (np.zeros(0, np.intp),) * 2):
+        return run_scenario(*_on_a_blank_prior(raw), out)
+
+
+@pytest.mark.parametrize("edit, call, field", [
+    ({"sensor": dict(conftest.MINI_CONFIG["sensor"], azimuth_steps=1, beam_count=2**53 + 1)},
+     lambda raw, out: config_from_dict(raw), "sensor: beam_count: 9007199254740993 beam angles"),
+    ({"extent": [-1e6, -1e6, 1e6, 1e6]}, lambda raw, out: build_offline_phase(config_from_dict(raw)),
+     "extent: 10000000x10000000 cells of 0.2 m"),
+    ({"duration": 1e14}, lambda raw, out: compute_trace_region(*_on_a_blank_prior(raw)),
+     "duration: 2000000000000000 ticks"),
+    ({"duration": 1e14}, _run_with_no_trace_cells, "duration: 2000000000000000 ticks"),
+], ids=["beam_angles", "extent", "tick_times", "records"])
+def test_arrays_too_large_to_allocate_name_their_field(mini_dict, tmp_path, edit, call, field):
+    # each request exceeds the address space and fails at once, without
+    # touching memory, as in TestCli's runs of the same configs
+    mini_dict.update(edit)
+    with pytest.raises(ConfigError) as exc:
+        call(mini_dict, tmp_path / "out")
+    assert str(exc.value).startswith(f"{field} do not fit in memory: Unable to allocate")
+    cause = exc.value.__cause__
+    while isinstance(cause, ConfigError):  # the parser prefixes its section: sensor
+        cause = cause.__cause__
+    assert isinstance(cause, MemoryError)
+    assert not (tmp_path / "out").exists()
+
+
 def _leaves(node, path=()):
     """Paths of the scalar leaves of a JSON tree."""
     if isinstance(node, (dict, list)):
