@@ -42,9 +42,9 @@ def build_offline(sweeps: Iterable[Sweep], grid: GridMap,
     if not (grid.values.flags.c_contiguous and grid.observed.flags.c_contiguous):
         raise ParameterError("build_offline needs a grid of C-contiguous arrays")
     values, observed = grid.values.reshape(-1), grid.observed.reshape(-1)
-    last_t = None
+    last_t = -np.inf
     for sweep in sweeps:
-        if last_t is not None and sweep.ego_pose.t <= last_t:
+        if not sweep.ego_pose.t > last_t:  # NaN fails too
             raise LogError("log sweep timestamps must be strictly increasing")
         last_t = sweep.ego_pose.t
         free, occupied = sweep_cells(sweep, grid, thresholds)
@@ -151,14 +151,23 @@ def _move(online: OnlineMap, cell: tuple[int, int], cells: int) -> None:
     online.grid, online.deviating = new, deviating
 
 
+def window_cells(lattice: GridMap, window_size: float) -> int:
+    """Cells a side of a ``window_size`` m window cut from ``lattice``, or ParameterError."""
+    side = window_size / lattice.resolution
+    side = round(side) if np.isfinite(side) else side
+    if not side >= 2:  # a one-cell window, snapped half to even, can miss the ego's cell
+        raise ParameterError(f"window_size: must be at least two {lattice.resolution!r} m cells")
+    if side * side > lattice.width * lattice.height:  # so it fits when the lattice does
+        raise ParameterError(f"window_size: {side}x{side} cells exceed the extent's "
+                             f"{lattice.width}x{lattice.height}")
+    return side
+
+
 def online_init(offline: GridMap, ego: Pose, window_size: float) -> OnlineMap:
     """Window centered on the ego, every cell copied from the offline map."""
     if not offline.contains_point(ego.x, ego.y):
         raise ScenarioError("ego pose lies outside the offline map extent")
-    cells = window_size / offline.resolution
-    if not 1.5 <= cells < np.inf:  # the config's rule: finite, rounding to two cells or more
-        raise ParameterError(f"window_size: must be at least two {offline.resolution!r} m cells")
-    cells = round(cells)
+    cells = window_cells(offline, window_size)
     online = OnlineMap(GridMap.blank(offline.resolution, offline.origin_x, offline.origin_y, 0, 0),
                        offline, np.zeros((0, 0), dtype=bool), offline.values != L_FREE_SET)
     _move(online, _snapped_cell(offline, ego, cells), cells)

@@ -29,6 +29,7 @@ from .fusion import (
     offline_window,
     online_init,
     online_step,
+    window_cells,
 )
 from .world import (
     Box,
@@ -116,14 +117,7 @@ class ScenarioConfig:
                     if not contains(knot.x, knot.y):
                         raise ConfigError(f"{name}[{i}]: knot ({knot.x!r}, {knot.y!r}) "
                                           f"lies outside {area}")
-        # the window is cut from the map, so it can be allocated when the map can
-        side = self.window_size / self.resolution
-        side = round(side) if math.isfinite(side) else side
-        if side < 2:  # a one-cell window, snapped half to even, can miss the ego's cell
-            raise ConfigError(f"window_size: must be at least two {self.resolution!r} m cells")
-        if side * side > width * height:
-            raise ConfigError(f"window_size: {side}x{side} cells exceed the extent's "
-                              f"{width}x{height}")
+        window_cells(self.lattice, self.window_size)
         # so that every cell index within max_range of the ego fits an int64
         if self.sensor.max_range / self.resolution > _MAX_ELEMENTS:
             raise ConfigError(f"sensor.max_range: {self.sensor.max_range!r} m spans more than "

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, ScenarioError
+from .errors import ConfigError, DomainError, ParameterError, ScenarioError
 
 TAU = 2.0 * math.pi
 
@@ -71,12 +71,11 @@ def interpolate_pose(knots: Sequence[Pose], t: float) -> Pose:
     """Piecewise-linear position, shortest-arc heading, clamped at the ends."""
     if not knots:
         raise ConfigError("trajectory has no knots")
+    if math.isnan(t):
+        raise DomainError(f"pose time {t!r} is not a number")
     times = [k.t for k in knots]
-    if t <= times[0]:
-        k = knots[0]
-        return Pose(k.x, k.y, k.yaw, t)
-    if t >= times[-1]:
-        k = knots[-1]
+    if not times[0] < t < times[-1]:
+        k = knots[0] if t <= times[0] else knots[-1]
         return Pose(k.x, k.y, k.yaw, t)
     i = bisect.bisect_right(times, t) - 1
     a, b = knots[i], knots[i + 1]

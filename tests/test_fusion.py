@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -14,6 +15,7 @@ from scipy import ndimage
 
 from mapdecay import (
     AlignmentError,
+    ConfigError,
     DecayParams,
     GridMap,
     LogError,
@@ -63,6 +65,11 @@ class TestBuildOffline:
         sweeps = [self._sweep(mini_cfg, pose), self._sweep(mini_cfg, pose)]
         with pytest.raises(LogError):
             build_offline(sweeps, GridMap.blank(0.2, -24, -24, 240, 240), mini_cfg.thresholds)
+        # a NaN time compares false both ways, so it must not hide a log that runs backwards
+        for times in ([1.0, math.nan, 0.5], [math.nan, 1.0], [0.0, math.nan]):
+            logged = [dataclasses.replace(sweeps[0], ego_pose=Pose(0, 0, 0, t)) for t in times]
+            with pytest.raises(LogError):
+                build_offline(logged, GridMap.blank(0.2, -24, -24, 240, 240), mini_cfg.thresholds)
 
     @given(_fold_cases())
     @example((np.array([[L_MAX, -0.0, L_MIN]]), np.array([[False, True, False]]),
@@ -272,14 +279,25 @@ class TestOnlineWindow:
                st.floats(-10.0, 60.0)),
            x=_MINI_X, y=_MINI_X)
     @example(window_size=0.2, x=0.2, y=0.0)  # a one-cell window snapped off the ego
+    @example(window_size=1e6, x=0.0, y=0.0)  # more cells than the address space holds
     def test_window_holds_the_ego_or_is_rejected(self, mini_prior, window_size, x, y):
         assume(mini_prior.contains_point(x, y))
         try:
             online = online_init(mini_prior, Pose(x, y, 0.0, 0.0), window_size)
         except ParameterError as exc:
             assert str(exc).startswith("window_size: ")
+            rejected = str(exc)
         else:
             assert online.grid.contains_point(x, y)
+            rejected = None
+        if 0.0 < window_size < math.inf:  # the sizes the config's field check lets through
+            # one rule: the config rejects the same sizes on the same lattice, in the same words
+            try:
+                config_from_dict(dict(MINI_CONFIG, window_size=window_size))
+            except ConfigError as exc:
+                assert str(exc) == rejected
+            else:
+                assert rejected is None
 
     def test_recenter_preserves_staying_cells(self):
         off = self._offline()

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mapdecay import (
     ConfigError,
+    DomainError,
     ParameterError,
     ScenarioError,
     SensorConfig,
@@ -86,6 +87,17 @@ class TestTrajectories:
             interpolate_pose([], 0.0)
         with pytest.raises(ConfigError, match="'x' has an empty trajectory"):
             DynamicObject("x", 1.0, 1.0, 1.0, [])
+
+    @pytest.mark.parametrize("knots", [KNOTS[:1], KNOTS], ids=["one_knot", "two_knots"])
+    def test_nan_time_rejected(self, knots):
+        # a NaN time lies neither before, between nor after the knots
+        with pytest.raises(DomainError, match="pose time nan"):
+            interpolate_pose(knots, math.nan)
+        van = DynamicObject("van", 4.0, 2.0, 2.0, list(knots))
+        with pytest.raises(DomainError, match="pose time nan"):
+            van.pose_at(math.nan)
+        with pytest.raises(DomainError, match="pose time nan"):
+            simulate_sweep(flat_world(objects=[van]), Pose(0, 0, 0, math.nan), small_sensor())
 
     def test_object_requires_increasing_timestamps(self):
         with pytest.raises(ConfigError):
