@@ -44,7 +44,7 @@ def build_offline(sweeps: Iterable[Sweep], grid: GridMap,
     values, observed = grid.values.reshape(-1), grid.observed.reshape(-1)
     last_t = -np.inf
     for sweep in sweeps:
-        if not sweep.ego_pose.t > last_t:  # NaN fails too
+        if not sweep.ego_pose.t > last_t:  # world.check_knots's rule, streamed; NaN fails too
             raise LogError("log sweep timestamps must be strictly increasing")
         last_t = sweep.ego_pose.t
         free, occupied = sweep_cells(sweep, grid, thresholds)

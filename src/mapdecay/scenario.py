@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -38,17 +39,23 @@ from .world import (
     Rect,
     SensorConfig,
     World,
+    check_knots,
     interpolate_pose,
     simulate_sweep,
 )
 
 _MAX_ELEMENTS = np.iinfo(np.intp).max // 8  # elements of the largest float64 numpy array
+_PHYSICAL_BYTES = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")  # RAM, if known
+                   if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", {}) else math.inf)
 
 
 @contextmanager
-def _fits(what: str):
-    """Turn a failed allocation into a ConfigError naming ``what``, the field and size."""
+def _fits(what: str, nbytes: int):
+    """Turn a failed or oversized allocation into a ConfigError naming ``what``: field and size."""
     try:
+        if nbytes > _PHYSICAL_BYTES:
+            raise MemoryError(f"Unable to allocate {nbytes} bytes: more than the "
+                              f"{_PHYSICAL_BYTES} bytes of physical memory")
         yield
     except MemoryError as exc:
         raise ConfigError(f"{what} do not fit in memory: {exc}") from exc
@@ -175,17 +182,13 @@ def _read_rect(raw, path: str) -> Rect:
 
 
 def _read_trajectory(raw, path: str) -> list[Pose]:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{path}: expected a nonempty list of [t, x, y, yaw] knots")
     knots = []
-    for i, item in enumerate(raw):
+    for i, item in enumerate(_expect(raw, list, path)):
         if not (isinstance(item, list) and len(item) == 4):
             raise ConfigError(f"{path}[{i}]: expected [t, x, y, yaw] numbers")
         t, x, y, yaw = _read_numbers(item, f"{path}[{i}]")
         knots.append(Pose(x, y, yaw, t))
-    times = [k.t for k in knots]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ConfigError(f"{path}: knot timestamps must be strictly increasing")
+    check_knots(knots, path)
     return knots
 
 
@@ -244,7 +247,7 @@ def _sensor(beam_count, vertical_min_deg, vertical_max_deg, vertical_angles_deg,
         raise ConfigError(f"azimuth_steps: {azimuth_steps} steps x {beam_count} beams exceed "
                           f"the {_MAX_ELEMENTS} rays a sweep can hold")
     if vertical_angles_deg is None:
-        with _fits(f"beam_count: {beam_count} beam angles"):
+        with _fits(f"beam_count: {beam_count} beam angles", 8 * beam_count):
             vertical_angles_deg = np.linspace(vertical_min_deg, vertical_max_deg, beam_count)
     elif len(vertical_angles_deg) != beam_count:
         raise ConfigError(f"vertical_angles_deg: {len(vertical_angles_deg)} angles "
@@ -420,7 +423,7 @@ def compute_trace_region(cfg: ScenarioConfig,
     the sensor at all.  Static obstacle footprints are excluded the same way.
     """
     mask = np.zeros(offline.shape, dtype=bool)
-    with _fits(f"duration: {cfg.n_ticks} ticks"):
+    with _fits(f"duration: {cfg.n_ticks} ticks", 16 * cfg.n_ticks):  # int64 and float64 times
         times = np.arange(cfg.n_ticks) / cfg.tick_rate
     for obj in cfg.world.dynamic_objects:
         _mark_footprints(mask, True, obj, times, offline)
@@ -466,16 +469,23 @@ def render_frame(grid: GridMap, path) -> None:
 # ---------------------------------------------------------------------------
 # run loop
 
+def _sweeper(cfg: ScenarioConfig, world: World, trajectory: list[Pose], seed: int):
+    """``sweep_at(t)`` along ``trajectory``, if up to 18 ray-sized arrays fit in memory:
+    11 in simulate_sweep, 6 in three more headings' cached fans, 1 in the last sweep."""
+    steps, beams = cfg.sensor.azimuth_steps, cfg.sensor.vertical_angles.size
+    with _fits(f"sensor.azimuth_steps: {steps}x{beams} rays", 18 * 8 * steps * beams):
+        rng = np.random.default_rng(seed)
+    return lambda t: simulate_sweep(world, interpolate_pose(trajectory, t), cfg.sensor, rng)
+
+
 def build_offline_phase(cfg: ScenarioConfig) -> GridMap:
     """Phase 1: replay the offline trajectory with dynamic objects disabled."""
-    world = cfg.world.without_dynamic()
+    sweep_at = _sweeper(cfg, cfg.world.without_dynamic(), cfg.offline_trajectory, cfg.seed)
     t0 = cfg.offline_trajectory[0].t
-    rng = np.random.default_rng(cfg.seed)
-    times = (t0 + k / cfg.offline_tick_rate for k in range(cfg.n_offline_ticks))
-    sweeps = (simulate_sweep(world, interpolate_pose(cfg.offline_trajectory, t), cfg.sensor, rng)
-              for t in times)
+    sweeps = (sweep_at(t0 + k / cfg.offline_tick_rate) for k in range(cfg.n_offline_ticks))
     lat = cfg.lattice  # blank, not lat.copy(): np.zeros commits no page until it is written
-    with _fits(f"extent: {lat.width}x{lat.height} cells of {lat.resolution!r} m"):
+    with _fits(f"extent: {lat.width}x{lat.height} cells of {lat.resolution!r} m",
+               9 * lat.width * lat.height):  # float64 values and a bool mask
         grid = GridMap.blank(lat.resolution, lat.origin_x, lat.origin_y, lat.width, lat.height)
     build_offline(sweeps, grid, cfg.thresholds)
     return clean_offline(grid, cfg.clean)
@@ -500,19 +510,18 @@ def run_scenario(cfg: ScenarioConfig, offline: GridMap, output_dir) -> RunMetric
 
 def _run_scenario(cfg: ScenarioConfig, offline: GridMap, out: Path,
                   created: list[Path]) -> RunMetrics:
+    sweep_at = _sweeper(cfg, cfg.world, cfg.ego_trajectory, cfg.seed + 1)
     rows, cols = compute_trace_region(cfg, offline)
-    with _fits(f"duration: {cfg.n_ticks} ticks"):  # the per-tick records
+    with _fits(f"duration: {cfg.n_ticks} ticks", 8 * cfg.n_ticks * (len(rows) + 5)):  # records
         trace_dev = np.zeros((cfg.n_ticks, len(rows)))
         observed_cells, static_total, static_ok = np.zeros((3, cfg.n_ticks), dtype=np.int64)
         iou, wall = np.zeros((2, cfg.n_ticks))
     trace_off = offline.values[rows, cols]
     last_observed = np.full(len(rows), -1, dtype=np.int64)
-    out.mkdir(parents=True, exist_ok=True)
     frames_dir = out / "frames"
-    frames_dir.mkdir(exist_ok=True)
+    frames_dir.mkdir(parents=True, exist_ok=True)
 
     online = online_init(offline, interpolate_pose(cfg.ego_trajectory, 0.0), cfg.window_size)
-    rng = np.random.default_rng(cfg.seed + 1)
     occ_cut = logodds_from_prob(0.9)
     # every prior class (occupied; and observed) lies on the prior's occupied cells
     occ_rows, occ_cols = np.nonzero(offline.values > 0.0)
@@ -520,8 +529,7 @@ def _run_scenario(cfg: ScenarioConfig, offline: GridMap, out: Path,
 
     for k in range(cfg.n_ticks):
         t_start = time.perf_counter()
-        pose = interpolate_pose(cfg.ego_trajectory, k / cfg.tick_rate)
-        sweep = simulate_sweep(cfg.world, pose, cfg.sensor, rng)
+        sweep = sweep_at(k / cfg.tick_rate)
         inst = online_step(online, sweep, cfg.decay, cfg.thresholds)
         grid = online.grid
 

@@ -67,13 +67,21 @@ class Box:
             raise ParameterError("a box needs x_min < x_max and y_min < y_max")
 
 
+def check_knots(knots: Sequence[Pose], what: str) -> list[float]:
+    """The times of the trajectory ``what``: at least one knot, each later than the last."""
+    times = [k.t for k in knots]
+    if not times:
+        raise ConfigError(f"{what} has no knots")
+    if not all(b > a for a, b in zip([-math.inf, *times], times)):  # NaN fails too
+        raise ConfigError(f"{what}: knot timestamps must be strictly increasing")
+    return times
+
+
 def interpolate_pose(knots: Sequence[Pose], t: float) -> Pose:
     """Piecewise-linear position, shortest-arc heading, clamped at the ends."""
-    if not knots:
-        raise ConfigError("trajectory has no knots")
+    times = check_knots(knots, "trajectory")
     if math.isnan(t):
         raise DomainError(f"pose time {t!r} is not a number")
-    times = [k.t for k in knots]
     if not times[0] < t < times[-1]:
         k = knots[0] if t <= times[0] else knots[-1]
         return Pose(k.x, k.y, k.yaw, t)
@@ -96,13 +104,8 @@ class DynamicObject:
     trajectory: list[Pose]
 
     def __post_init__(self) -> None:
-        if not self.trajectory:
-            raise ConfigError(f"dynamic object {self.name!r} has an empty trajectory")
-        times = [p.t for p in self.trajectory]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ConfigError(
-                f"dynamic object {self.name!r} trajectory timestamps must be strictly increasing")
-        if self.length <= 0 or self.width <= 0 or self.height <= 0:
+        check_knots(self.trajectory, f"dynamic object {self.name!r} trajectory")
+        if not (self.length > 0 and self.width > 0 and self.height > 0):  # NaN fails too
             raise ConfigError(f"dynamic object {self.name!r} must have positive dimensions")
 
     def pose_at(self, t: float) -> Pose:
@@ -122,7 +125,7 @@ class World:
         if len(set(names)) < len(names):
             raise ConfigError(f"duplicate dynamic object names in {names}")
         for i, box in enumerate(self.static_boxes):
-            if box.z_top <= self.ground_z:
+            if not box.z_top > self.ground_z:  # NaN fails too
                 raise ConfigError(f"static_boxes[{i}]: top must be above the ground plane")
             if not (self.bounds.contains(box.x_min, box.y_min)
                     and self.bounds.contains(box.x_max, box.y_max)):

@@ -176,8 +176,7 @@ class TestConfigValidation:
          "extent: a side is longer than the largest float"),
         (None, "extent", [1.0, 2.0, 3.0], "extent: expected [x_min, y_min, x_max, y_max]"),
         (None, "extent", [24.0, -24.0, -24.0, 24.0], "extent: degenerate rectangle"),
-        (None, "ego_trajectory", [],
-         "ego_trajectory: expected a nonempty list of [t, x, y, yaw] knots"),
+        (None, "ego_trajectory", [], "ego_trajectory has no knots"),
         (None, "ego_trajectory", [[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]],
          "ego_trajectory: knot timestamps must be strictly increasing"),
         (None, "sensor", [], "sensor: expected an object"),
@@ -299,26 +298,61 @@ def _run_with_no_trace_cells(raw, out):
         return run_scenario(*_on_a_blank_prior(raw), out)
 
 
-@pytest.mark.parametrize("edit, call, field", [
-    ({"sensor": dict(conftest.MINI_CONFIG["sensor"], azimuth_steps=1, beam_count=2**53 + 1)},
-     lambda raw, out: config_from_dict(raw), "sensor: beam_count: 9007199254740993 beam angles"),
-    ({"extent": [-1e6, -1e6, 1e6, 1e6]}, lambda raw, out: build_offline_phase(config_from_dict(raw)),
-     "extent: 10000000x10000000 cells of 0.2 m"),
-    ({"duration": 1e14}, lambda raw, out: compute_trace_region(*_on_a_blank_prior(raw)),
-     "duration: 2000000000000000 ticks"),
-    ({"duration": 1e14}, _run_with_no_trace_cells, "duration: 2000000000000000 ticks"),
-], ids=["beam_angles", "extent", "tick_times", "records"])
-def test_arrays_too_large_to_allocate_name_their_field(mini_dict, tmp_path, edit, call, field):
-    # each request exceeds the address space and fails at once, without
-    # touching memory, as in TestCli's runs of the same configs
+_TOO_LARGE = {
+    "beam_angles": (
+        {"sensor": dict(conftest.MINI_CONFIG["sensor"], azimuth_steps=1, beam_count=2**53 + 1)},
+        lambda raw, out: config_from_dict(raw), "sensor: beam_count: 9007199254740993 beam angles"),
+    "extent": (
+        {"extent": [-1e6, -1e6, 1e6, 1e6]},
+        lambda raw, out: build_offline_phase(config_from_dict(raw)),
+        "extent: 10000000x10000000 cells of 0.2 m"),
+    "tick_times": (
+        {"duration": 1e14}, lambda raw, out: compute_trace_region(*_on_a_blank_prior(raw)),
+        "duration: 2000000000000000 ticks"),
+    "records": ({"duration": 1e14}, _run_with_no_trace_cells, "duration: 2000000000000000 ticks"),
+}
+
+
+@pytest.mark.parametrize("edit, call, field, bounded", [
+    (*case, bounded) for bounded in (True, False) for case in _TOO_LARGE.values()],
+    ids=[name + suffix for suffix in ("", "-unbounded") for name in _TOO_LARGE])
+def test_arrays_too_large_to_allocate_name_their_field(mini_dict, tmp_path, edit, call, field,
+                                                       bounded):
+    # each request exceeds the physical memory, so the bound refuses it
+    # before allocating; with no bound, it exceeds the address space and the
+    # allocation fails at once, without touching memory, as in TestCli's runs
+    # of the same configs
     mini_dict.update(edit)
-    with pytest.raises(ConfigError) as exc:
+    bound = scenario._PHYSICAL_BYTES if bounded else math.inf
+    with mock.patch.object(scenario, "_PHYSICAL_BYTES", bound), \
+            pytest.raises(ConfigError) as exc:
         call(mini_dict, tmp_path / "out")
     assert str(exc.value).startswith(f"{field} do not fit in memory: Unable to allocate")
+    assert str(exc.value).endswith("bytes of physical memory") == bounded
     cause = exc.value.__cause__
     while isinstance(cause, ConfigError):  # the parser prefixes its section: sensor
         cause = cause.__cause__
     assert isinstance(cause, MemoryError)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("phase", ["offline", "online"])
+def test_sweeps_beyond_physical_memory_name_azimuth_steps(mini_dict, tmp_path, capsys, phase):
+    # 36000 x 8 rays ask for 41.5 MB, on a machine made to hold 4 MB: each
+    # phase refuses them before its first sweep and before writing a file
+    mini_dict["sensor"]["azimuth_steps"] = 36000
+    message = ("sensor.azimuth_steps: 36000x8 rays do not fit in memory: Unable to allocate "
+               "41472000 bytes: more than the 4000000 bytes of physical memory")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(mini_dict))
+    with mock.patch.object(scenario, "_PHYSICAL_BYTES", 4_000_000):
+        if phase == "offline":
+            assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        else:
+            with pytest.raises(ConfigError) as exc:
+                run_scenario(*_on_a_blank_prior(mini_dict), tmp_path / "out")
+            assert str(exc.value) == message
     assert not (tmp_path / "out").exists()
 
 

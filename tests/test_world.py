@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from mapdecay import (
     ParameterError,
     ScenarioError,
     SensorConfig,
+    config_from_dict,
     simulate_sweep,
 )
 from mapdecay.world import (
@@ -85,7 +87,7 @@ class TestTrajectories:
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ConfigError, match="trajectory has no knots"):
             interpolate_pose([], 0.0)
-        with pytest.raises(ConfigError, match="'x' has an empty trajectory"):
+        with pytest.raises(ConfigError, match="dynamic object 'x' trajectory has no knots"):
             DynamicObject("x", 1.0, 1.0, 1.0, [])
 
     @pytest.mark.parametrize("knots", [KNOTS[:1], KNOTS], ids=["one_knot", "two_knots"])
@@ -99,10 +101,23 @@ class TestTrajectories:
         with pytest.raises(DomainError, match="pose time nan"):
             simulate_sweep(flat_world(objects=[van]), Pose(0, 0, 0, math.nan), small_sensor())
 
-    def test_object_requires_increasing_timestamps(self):
-        with pytest.raises(ConfigError):
-            DynamicObject("x", 1.0, 1.0, 1.0,
-                          [Pose(0, 0, 0, t=1.0), Pose(1, 0, 0, t=1.0)])
+    def test_object_requires_increasing_timestamps(self, mini_dict):
+        # a comparison with NaN is false both ways, so a NaN time must fail
+        # wherever it stands, a lone knot included
+        nan = math.nan
+        for times in ([1.0, 1.0], [1.0, 0.0], [1.0, nan, 0.5], [nan, 1.0], [0.0, nan], [nan]):
+            knots = [Pose(float(i), 0, 0, t=t) for i, t in enumerate(times)]
+            with pytest.raises(ConfigError, match=re.escape(
+                    "dynamic object 'x' trajectory: knot timestamps must be strictly increasing")):
+                DynamicObject("x", 1.0, 1.0, 1.0, knots)
+            with pytest.raises(ConfigError, match="^trajectory: knot timestamps must be strictly"):
+                interpolate_pose(knots, 0.7)
+        # the config rejects NaN as a number, so only the order reaches the rule
+        mini_dict["world"]["dynamic_objects"][0]["trajectory"] = [[1.0, 0, 0, 0], [0.0, 1, 0, 0]]
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(mini_dict)
+        assert str(exc.value) == ("world.dynamic_objects[0].trajectory: "
+                                  "knot timestamps must be strictly increasing")
 
 
 class TestGroundReturns:
@@ -270,6 +285,19 @@ class TestSweepBehavior:
         # an inverted or flat box would never be hit by the slab test
         with pytest.raises(ParameterError, match="x_min < x_max"):
             Box(*bounds, 3.0)
+
+    @pytest.mark.parametrize("size", ["length", "width", "height", "z_top"])
+    def test_nan_size_rejected(self, size):
+        # NaN is not positive: a NaN size would stop the first sweep in a
+        # bare ValueError, and a NaN top would hide the box from every sweep
+        if size == "z_top":
+            with pytest.raises(ConfigError, match=re.escape(
+                    "static_boxes[0]: top must be above the ground plane")):
+                flat_world([Box(5.0, 6.0, -2.0, 2.0, math.nan)])
+        else:
+            sizes = {"length": 4.0, "width": 2.0, "height": 2.0, size: math.nan}
+            with pytest.raises(ConfigError, match="'van' must have positive dimensions"):
+                DynamicObject("van", **sizes, trajectory=[Pose(10.0, 0.0, 0.0, 0.0)])
 
 
 def parent_hit_points(world, ego, cfg, ranges):
